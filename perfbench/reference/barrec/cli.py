@@ -1,0 +1,380 @@
+"""Command-line surface.
+
+Subcommands: ``solve`` extracts and verifies one collision, ``bench``
+regenerates the comparison tables over the built-in families, ``check``
+runs the seeded verification suites, ``thread`` prints a step-by-step
+thread construction, and ``interdef-test`` runs the translation
+differential suite.
+
+Exit codes: 0 success, 2 syntax error in a DSL term, 3 fuel exhausted,
+4 failed verification.  CSV and JSON output is byte-deterministic for a
+fixed configuration except for the ``wall_ms`` field.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import io
+import json
+import os
+import random
+import sys
+import time
+
+from . import checks, hdsl
+from .context import DEFAULT_FUEL, EvalContext, FuelExhausted
+from .interdef import br_from_sbr, sbr_from_br
+from .noinjection import (BENCH_RANGES, FAMILIES, builtin_h, counterexample,
+                          report_row, verify_counterexample)
+from .pfun import EMPTY, PartialFn, extend_hat
+from .recursors import br, sbr
+from .threads import trace_thread
+from . import gen
+
+CSV_COLUMNS = ("family", "n", "recursor", "mode", "domain_size", "calls",
+               "i", "valid", "wall_ms")
+
+# Domain sizes and call counts reported for a lazy-evaluation
+# implementation of the same two recursors, shown alongside our strict
+# instrumented counts in text output.  Counting conventions differ, so
+# only the relative ordering is comparable.
+LAZY_REFERENCE = {
+    ("prod", 4, "spector"): (17, 1140),
+    ("prod", 5, "spector"): (33, 4650),
+    ("prod", 6, "spector"): (65, 19154),
+    ("prod", 4, "symmetric"): (1, 12),
+    ("prod", 5, "symmetric"): (1, 12),
+    ("prod", 6, "symmetric"): (1, 12),
+    ("prodpow", 3, "spector"): (577, 2350),
+    ("prodpow", 4, "spector"): (577, 365700),
+    ("prodpow", 3, "symmetric"): (1, 12),
+    ("prodpow", 4, "symmetric"): (1, 12),
+    ("leastinc", 3, "spector"): (4, 316),
+    ("leastinc", 4, "spector"): (5, 688),
+    ("leastinc", 5, "spector"): (6, 1444),
+    ("leastinc", 3, "symmetric"): (4, 52),
+    ("leastinc", 4, "symmetric"): (5, 64),
+    ("leastinc", 5, "symmetric"): (6, 76),
+}
+
+EXIT_OK = 0
+EXIT_PARSE = 2
+EXIT_FUEL = 3
+EXIT_INVALID = 4
+
+
+def _fuel_fallback() -> int:
+    env = os.environ.get("BARREC_FUEL")
+    return int(env) if env else DEFAULT_FUEL
+
+
+def _emit(text: str, output: str | None) -> None:
+    if output:
+        with open(output, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
+def _resolve_h(args) -> tuple:
+    """Returns (family label, n or None, functional)."""
+    if args.builtin:
+        family, _, num = args.builtin.partition(":")
+        if family not in FAMILIES or not num.isdigit():
+            raise SystemExit("--builtin wants FAMILY:N with FAMILY in %s"
+                             % (", ".join(FAMILIES)))
+        n = int(num)
+        return family, n, builtin_h(family, n)
+    expr = hdsl.parse(args.h)
+    return "dsl", None, hdsl.as_functional(expr)
+
+
+def _rows_to_csv(rows: list) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    for row in rows:
+        writer.writerow([_csv_cell(row.get(col)) for col in CSV_COLUMNS])
+    return buf.getvalue()
+
+
+def _csv_cell(value):
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return value
+
+
+def _rows_to_json(rows: list) -> str:
+    return json.dumps(rows, indent=2) + "\n"
+
+
+def _run_cell(h, family, n, recursor, mode, fuel) -> dict:
+    ctx = EvalContext(fuel=fuel, mode=mode)
+    started = time.perf_counter()
+    try:
+        c = counterexample(h, recursor, ctx)
+    except FuelExhausted as exc:
+        return {"family": family, "n": n, "recursor": recursor,
+                "mode": mode, "domain_size": None,
+                "calls": exc.metrics.calls, "i": None,
+                "alpha_prefix": None, "beta_prefix": None, "valid": None,
+                "error": "fuel-exhausted",
+                "wall_ms": _ms(started)}
+    valid = verify_counterexample(h, c)
+    row = report_row(family, n, recursor, mode, c, valid)
+    row["wall_ms"] = _ms(started)
+    return row
+
+
+def _ms(started: float) -> float:
+    return round((time.perf_counter() - started) * 1000.0, 3)
+
+
+def cmd_solve(args) -> int:
+    try:
+        family, n, h = _resolve_h(args)
+    except (hdsl.ParseError, hdsl.UnboundVariable) as exc:
+        sys.stderr.write("error: %s\n" % exc)
+        return EXIT_PARSE
+    recursors = (("spector", "symmetric") if args.recursor == "both"
+                 else (args.recursor,))
+    rows = []
+    for recursor in recursors:
+        try:
+            rows.append(_run_cell(h, family, n, recursor, args.mode,
+                                  args.fuel))
+        except FuelExhausted:
+            return EXIT_FUEL
+        if rows[-1].get("error") == "fuel-exhausted":
+            return EXIT_FUEL
+    _emit(_format_rows(rows, args.format), args.output)
+    if not all(row["valid"] for row in rows):
+        return EXIT_INVALID
+    return EXIT_OK
+
+
+def _format_rows(rows: list, fmt: str) -> str:
+    if fmt == "csv":
+        return _rows_to_csv(rows)
+    if fmt == "json":
+        return _rows_to_json(rows)
+    lines = []
+    for row in rows:
+        if row.get("error"):
+            lines.append("%s n=%s %s [%s]: fuel exhausted after %d calls"
+                         % (row["family"], row["n"], row["recursor"],
+                            row["mode"], row["calls"]))
+            continue
+        lines.append(
+            "%s n=%s %s [%s]: domain=%d calls=%d i=%d valid=%s"
+            % (row["family"], row["n"], row["recursor"], row["mode"],
+               row["domain_size"], row["calls"], row["i"], row["valid"]))
+        lines.append("  alpha prefix: %s (then constant)"
+                     % row["alpha_prefix"])
+        lines.append("  beta  prefix: %s (then constant)"
+                     % row["beta_prefix"])
+    return "\n".join(lines) + "\n"
+
+
+def _parse_range(text: str, family: str) -> range:
+    if not text:
+        lo, hi = BENCH_RANGES[family]
+        return range(lo, hi + 1)
+    lo, _, hi = text.partition("..")
+    return range(int(lo), int(hi or lo) + 1)
+
+
+def cmd_bench(args) -> int:
+    families = FAMILIES if args.family == "all" else (args.family,)
+    recursors = (("spector", "symmetric") if args.recursor == "both"
+                 else (args.recursor,))
+    rows = []
+    for family in families:
+        for n in _parse_range(args.n, family):
+            h = builtin_h(family, n)
+            for recursor in recursors:
+                for mode in ("plain", "memoized"):
+                    rows.append(_run_cell(h, family, n, recursor, mode,
+                                          args.fuel))
+    if args.format == "text":
+        _emit(_bench_text(rows), args.output)
+    else:
+        _emit(_format_rows(rows, args.format), args.output)
+    return EXIT_OK
+
+
+def _bench_text(rows: list) -> str:
+    lines = []
+    cells = {}
+    for row in rows:
+        cells.setdefault((row["family"], row["n"], row["recursor"]),
+                         {})[row["mode"]] = row
+    header = ("%-10s %-3s %-10s %-22s %-22s %-14s"
+              % ("family", "n", "recursor", "domain / calls(plain)",
+                 "domain / calls(memo)", "ref dom/calls"))
+    lines.append(header)
+    lines.append("-" * len(header))
+    for (family, n, recursor), modes in cells.items():
+        plain = modes.get("plain")
+        memo = modes.get("memoized")
+        ref = LAZY_REFERENCE.get((family, n, recursor))
+        lines.append("%-10s %-3s %-10s %-22s %-22s %-14s" % (
+            family, n, recursor,
+            _cell_text(plain), _cell_text(memo),
+            "%d / %d" % ref if ref else "-"))
+    return "\n".join(lines) + "\n"
+
+
+def _cell_text(row) -> str:
+    if row is None:
+        return "-"
+    if row.get("error"):
+        return "fuel!"
+    return "%d / %d" % (row["domain_size"], row["calls"])
+
+
+def cmd_check(args) -> int:
+    names = args.suite if args.suite else list(checks.ALL_SUITES)
+    results = checks.run_suites(names, seed=args.seed, cases=args.cases)
+    for res in results:
+        print("%-16s passed=%-5d failed=%d"
+              % (res.name, res.passed, res.failed))
+        for failure in res.failures:
+            print("  FAIL: %s" % failure)
+    return EXIT_OK if all(r.ok for r in results) else EXIT_INVALID
+
+
+def cmd_thread(args) -> int:
+    try:
+        _, _, control = _resolve_h(args)
+    except (hdsl.ParseError, hdsl.UnboundVariable) as exc:
+        sys.stderr.write("error: %s\n" % exc)
+        return EXIT_PARSE
+    u = EMPTY
+    if args.u:
+        table = json.loads(args.u)
+        u = PartialFn((int(k), int(v)) for k, v in table.items())
+    steps = args.steps if args.steps is not None else len(u) + 1
+    source = extend_hat(u, args.default) if args.total else u
+    trace = trace_thread(control, source, steps, args.default,
+                         total=args.total)
+    if args.format == "json":
+        _emit(json.dumps(trace.to_json(), indent=2) + "\n", args.output)
+        return EXIT_OK
+    lines = []
+    for k, step in enumerate(trace.steps):
+        if step.defined:
+            lines.append("step %d: index %s value %s" % (k, step.n,
+                                                         step.value))
+        else:
+            lines.append("step %d: index %s undefined, stabilised"
+                         % (k, step.n))
+    lines.append("final: %s" % (trace.final.to_json(),))
+    _emit("\n".join(lines) + "\n", args.output)
+    return EXIT_OK
+
+
+def cmd_interdef_test(args) -> int:
+    rng_seed = args.seed
+    results = []
+    passed = failed = 0
+    rng = random.Random(rng_seed)
+    for case in range(args.cases):
+        params, s = gen.gen_br_instance(rng)
+        agree = br_from_sbr(params, s) == br(params, s)
+        results.append({"case": case, "direction": "sequential",
+                        "agree": agree})
+        sparams, u = gen.gen_sbr_instance(rng)
+        agree2 = sbr_from_br(sparams, u) == sbr(sparams, u)
+        results.append({"case": case, "direction": "symmetric",
+                        "agree": agree2})
+        passed += int(agree) + int(agree2)
+        failed += int(not agree) + int(not agree2)
+    report = {"seed": rng_seed, "cases": args.cases, "passed": passed,
+              "failed": failed, "results": results}
+    _emit(json.dumps(report, indent=2) + "\n", args.output)
+    return EXIT_OK if failed == 0 else EXIT_INVALID
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="barrec",
+        description="Bar recursion engines, collision extraction, and "
+                    "verification suites.")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_common(p, with_h=False):
+        p.add_argument("--fuel", type=int, default=_fuel_fallback(),
+                       help="recursor entry budget (env BARREC_FUEL)")
+        p.add_argument("--format", choices=("text", "csv", "json"),
+                       default="text")
+        p.add_argument("--output", default=None,
+                       help="write to a file instead of stdout")
+        if with_h:
+            group = p.add_mutually_exclusive_group(required=True)
+            group.add_argument("--builtin", metavar="FAMILY:N")
+            group.add_argument("--h", metavar="TEXT",
+                               help="control functional in the DSL")
+
+    p_solve = sub.add_parser("solve", help="extract and verify a collision")
+    add_common(p_solve, with_h=True)
+    p_solve.add_argument("--recursor",
+                         choices=("spector", "symmetric", "both"),
+                         default="both")
+    p_solve.add_argument("--mode", choices=("plain", "memoized"),
+                         default="plain")
+    p_solve.set_defaults(fn=cmd_solve)
+
+    p_bench = sub.add_parser("bench", help="regenerate comparison tables")
+    add_common(p_bench)
+    p_bench.add_argument("--family", choices=FAMILIES + ("all",),
+                         default="all")
+    p_bench.add_argument("--n", default="",
+                         help="range A..B (defaults per family)")
+    p_bench.add_argument("--recursor",
+                         choices=("spector", "symmetric", "both"),
+                         default="both")
+    p_bench.set_defaults(fn=cmd_bench)
+
+    p_check = sub.add_parser("check", help="run seeded verification suites")
+    p_check.add_argument("--suite", action="append",
+                         choices=tuple(checks.ALL_SUITES))
+    p_check.add_argument("--cases", type=int, default=None)
+    p_check.add_argument("--seed", type=int, default=0)
+    p_check.set_defaults(fn=cmd_check)
+
+    p_thread = sub.add_parser("thread", help="print a thread construction")
+    add_common(p_thread, with_h=True)
+    p_thread.add_argument("--u", default=None,
+                          help='partial function as JSON, e.g. {"1": 1}')
+    p_thread.add_argument("--steps", type=int, default=None)
+    p_thread.add_argument("--total", action="store_true",
+                          help="treat the input's extension as a total "
+                               "sequence (always extends)")
+    p_thread.add_argument("--default", type=int, default=0)
+    p_thread.set_defaults(fn=cmd_thread)
+
+    p_inter = sub.add_parser("interdef-test",
+                             help="translation differential suite")
+    p_inter.add_argument("--cases", type=int, default=200)
+    p_inter.add_argument("--seed", type=int, default=0)
+    p_inter.add_argument("--output", default=None)
+    p_inter.set_defaults(fn=cmd_interdef_test)
+
+    return parser
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        return args.fn(args)
+    except FuelExhausted:
+        sys.stderr.write("error: fuel exhausted\n")
+        return EXIT_FUEL
+
+
+if __name__ == "__main__":
+    sys.exit(main())

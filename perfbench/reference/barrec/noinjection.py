@@ -1,0 +1,191 @@
+"""Refuting injectivity of functionals from sequences to naturals.
+
+Every functional ``H`` from (nat -> nat) to nat collapses two sequences:
+there are ``alpha``, ``beta`` and an index ``i`` with ``alpha(i) !=
+beta(i)`` and ``H(alpha) = H(beta)``.  The construction parameterises the
+countable choice solvers with
+
+    eps_n(p) = p(zero) if H(p(zero)) = n else zero
+    q(f)     = fun n -> f(n)(n) + 1
+    control  = fun f -> H(q(f))
+
+over the value domain of sequences (zero is the constant-0 sequence), and
+reads the collision off a solution: ``alpha = q(f)``, ``i = control(f)``,
+``beta = f(i)``.  Built-in ``H`` families and a verifier for the produced
+collisions live here as well.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable
+
+from .choice import ChoiceParams, solve_spector, solve_symmetric
+from .context import EvalContext, Metrics
+from .pfun import InfSeq
+
+HFunctional = Callable[[InfSeq], int]
+
+FAMILIES = ("prod", "prodpow", "leastinc", "contrived")
+
+# Default n ranges for the benchmark tables, per family.
+BENCH_RANGES = {
+    "prod": (4, 6),
+    "prodpow": (3, 4),
+    "leastinc": (3, 5),
+    "contrived": (2, 6),
+}
+
+
+def builtin_h(family: str, n: int) -> HFunctional:
+    """The built-in ``H`` families.
+
+    ``prod``      : product of ``1 + gamma(i)`` over ``i < n``;
+    ``prodpow``   : product of ``(1 + i) ^ (1 + gamma(i))`` over ``i < n``;
+    ``leastinc``  : least ``i <= n`` with ``gamma(i) < gamma(i+1)``, else ``n``;
+    ``contrived`` : looks for the greatest ``i <= n`` with ``gamma(i) = 1``
+                    only when ``gamma(0) = gamma(1) = 2``, answers 0 when
+                    exactly one of the first two entries is 2 (the other 1),
+                    and 1 otherwise.
+    """
+    if family == "prod":
+        def h(gamma: InfSeq) -> int:
+            acc = 1
+            for i in range(n):
+                acc *= 1 + gamma(i)
+            return acc
+        return h
+    if family == "prodpow":
+        def h(gamma: InfSeq) -> int:
+            acc = 1
+            for i in range(n):
+                acc *= (1 + i) ** (1 + gamma(i))
+            return acc
+        return h
+    if family == "leastinc":
+        def h(gamma: InfSeq) -> int:
+            for i in range(n + 1):
+                if gamma(i) < gamma(i + 1):
+                    return i
+            return n
+        return h
+    if family == "contrived":
+        def h(gamma: InfSeq) -> int:
+            g0, g1 = gamma(0), gamma(1)
+            if g0 == 2 and g1 == 2:
+                for i in range(n, -1, -1):
+                    if gamma(i) == 1:
+                        return i
+                return n
+            if (g0 == 1 and g1 == 2) or (g0 == 2 and g1 == 1):
+                return 0
+            return 1
+        return h
+    raise ValueError("unknown family %r" % (family,))
+
+
+def builtin_dsl(family: str, n: int) -> str:
+    """The built-in families rendered in the control DSL."""
+    if family == "prod":
+        return "prod i < %d : 1 + g(i)" % n
+    if family == "prodpow":
+        return "prod i < %d : (1 + i) ^ (1 + g(i))" % n
+    if family == "leastinc":
+        return "least i <= %d st g(i) < g(i + 1) else %d" % (n, n)
+    if family == "contrived":
+        return ("if g(0) = 2 and g(1) = 2 "
+                "then (greatest i <= %d st g(i) = 1 else %d) "
+                "else (if g(0) = 1 and g(1) = 2 then 0 "
+                "else (if g(0) = 2 and g(1) = 1 then 0 else 1))" % (n, n))
+    raise ValueError("unknown family %r" % (family,))
+
+
+def make_choice_params(h: HFunctional) -> ChoiceParams:
+    """Choice parameters whose solutions refute injectivity of ``h``.
+
+    The value domain is sequences-as-values; the shared zero object makes
+    the selection's probe and the subsequent recursive call recognisably
+    the same argument.
+    """
+    zero = InfSeq.constant(0)
+
+    def q(f: InfSeq) -> InfSeq:
+        return InfSeq(lambda num: f(num)(num) + 1)
+
+    def control(f: InfSeq) -> int:
+        return h(q(f))
+
+    def eps(n: int) -> Callable[[Callable[[InfSeq], InfSeq]], InfSeq]:
+        def select(p: Callable[[InfSeq], InfSeq]) -> InfSeq:
+            probe = p(zero)
+            return probe if h(probe) == n else zero
+        return select
+
+    return ChoiceParams(eps=eps, q=q, control=control, default=zero)
+
+
+@dataclass(frozen=True)
+class Counterexample:
+    """Two sequences collapsed by ``H`` and an index where they differ."""
+
+    alpha: InfSeq
+    beta: InfSeq
+    i: int
+    metrics: Metrics
+    carrier_size: int
+
+    def prefix_length(self) -> int:
+        return max(self.i, 8) + 1
+
+    def to_json(self) -> dict:
+        k = self.prefix_length()
+        return {
+            "i": self.i,
+            "alpha_prefix": self.alpha.prefix(k),
+            "beta_prefix": self.beta.prefix(k),
+            "carrier_size": self.carrier_size,
+            "metrics": self.metrics.to_json(),
+        }
+
+
+def counterexample(h: HFunctional, recursor: str,
+                   ctx: EvalContext | None = None) -> Counterexample:
+    """Extract a collision for ``h`` using the chosen solver,
+    ``"spector"`` (sequential) or ``"symmetric"`` (demand-driven)."""
+    ctx = ctx or EvalContext()
+    cp = make_choice_params(h)
+    if recursor == "spector":
+        sol = solve_spector(cp, ctx)
+    elif recursor == "symmetric":
+        sol = solve_symmetric(cp, ctx)
+    else:
+        raise ValueError("unknown recursor %r" % (recursor,))
+    alpha = cp.q(sol.f)
+    i = sol.n
+    beta = sol.f(i)
+    return Counterexample(alpha=alpha, beta=beta, i=i,
+                          metrics=ctx.metrics(),
+                          carrier_size=sol.carrier_size())
+
+
+def verify_counterexample(h: HFunctional, c: Counterexample) -> bool:
+    """Check both conjuncts by direct evaluation."""
+    return c.alpha(c.i) != c.beta(c.i) and h(c.alpha) == h(c.beta)
+
+
+def report_row(family: str, n: "int | None", recursor: str, mode: str,
+               c: Counterexample, valid: bool) -> dict:
+    """One benchmark/solve report row; key order is the wire format."""
+    k = c.prefix_length()
+    return {
+        "family": family,
+        "n": n,
+        "recursor": recursor,
+        "mode": mode,
+        "domain_size": c.carrier_size,
+        "calls": c.metrics.calls,
+        "i": c.i,
+        "alpha_prefix": c.alpha.prefix(k),
+        "beta_prefix": c.beta.prefix(k),
+        "valid": valid,
+    }
