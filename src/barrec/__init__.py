@@ -15,10 +15,11 @@ from .pfun import (EMPTY, EMPTY_SEQ, FiniteSeq, InfSeq, PartialFn,
 from .threads import (ThreadStep, ThreadTrace, is_thread, spec_witness,
                       sspec_witness, theta_bound, thread_decomposition,
                       thread_of_partial, thread_of_total, trace_thread)
-from .recursors import RecursorParams, br, sbr, sbr_discrete, theta
+from .recursors import RecursorParams, br, sbr, theta
 from .choice import (ChoiceParams, SpectorSolution, phi_spector,
-                     psi_symmetric, psi_via_sbr, solve_spector,
-                     solve_symmetric, values_equal, verify_equations)
+                     psi_symmetric, solve_spector, solve_symmetric,
+                     spector_params, symmetric_params, values_equal,
+                     verify_equations)
 from .interdef import (TaggedValue, YPair, br_from_sbr, carrier_stages,
                        diag_finite, diag_infinite, sbr_from_br,
                        theta_from_br)
@@ -35,10 +36,10 @@ __all__ = [
     "ThreadStep", "ThreadTrace", "is_thread", "spec_witness",
     "sspec_witness", "theta_bound", "thread_decomposition",
     "thread_of_partial", "thread_of_total", "trace_thread",
-    "RecursorParams", "br", "sbr", "sbr_discrete", "theta",
+    "RecursorParams", "br", "sbr", "theta",
     "ChoiceParams", "SpectorSolution", "phi_spector", "psi_symmetric",
-    "psi_via_sbr", "solve_spector", "solve_symmetric", "values_equal",
-    "verify_equations",
+    "solve_spector", "solve_symmetric", "spector_params",
+    "symmetric_params", "values_equal", "verify_equations",
     "TaggedValue", "YPair", "br_from_sbr", "carrier_stages", "diag_finite",
     "diag_infinite", "sbr_from_br", "theta_from_br",
     "Counterexample", "builtin_dsl", "builtin_h", "counterexample",

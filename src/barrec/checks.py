@@ -12,8 +12,9 @@ import random
 from dataclasses import dataclass, field, replace
 
 from . import gen, hdsl
-from .choice import (phi_spector, psi_symmetric, psi_via_sbr, solve_spector,
-                     solve_symmetric, thread_prefix, verify_equations)
+from .choice import (phi_spector, psi_symmetric, solve_spector,
+                     solve_symmetric, symmetric_params, thread_prefix,
+                     verify_equations)
 from .context import EvalContext
 from .interdef import br_from_sbr, carrier_stages, diag_finite, sbr_from_br, \
     theta_from_br
@@ -139,7 +140,7 @@ def suite_recursors(seed: int = 0, cases: int = 200) -> SuiteResult:
         alpha = gen.gen_alpha(rng)
         follow = replace(
             tparams,
-            step=lambda v, p: p(alpha(control(extend_hat(v, 0)))),
+            step=lambda v, n, p: p(alpha(n)),
             body=lambda v: len(v))
         ctx4 = EvalContext()
         depth = sbr(follow, EMPTY, ctx4)
@@ -176,8 +177,8 @@ def suite_spector(seed: int = 0, cases: int = 100) -> SuiteResult:
 
 def suite_indexwise(seed: int = 0, cases: int = 50) -> SuiteResult:
     """Index-by-index equations on both carriers, carrier threadhood,
-    re-rooting stability, and agreement of the two demand-driven
-    formulations."""
+    re-rooting stability, and agreement of the demand-driven carrier with
+    its translation onto the sequential engine."""
     rng = random.Random(seed)
     res = SuiteResult("indexwise")
     for case in range(cases):
@@ -222,8 +223,9 @@ def suite_indexwise(seed: int = 0, cases: int = 50) -> SuiteResult:
                                     EvalContext()) == v,
                       "case %d: re-rooting at thread prefix %d moved the "
                       "carrier" % (case, i))
-        res.check(psi_via_sbr(cp, EMPTY, EvalContext()) == v,
-                  "case %d: generic-engine formulation disagrees" % case)
+        res.check(sbr_from_br(symmetric_params(cp), EMPTY) == v,
+                  "case %d: symmetric-from-sequential carrier disagrees"
+                  % case)
     return res
 
 

@@ -8,7 +8,8 @@ in the unknowns ``f`` (a total sequence), ``n`` (an index) and ``p`` (a
 function from values to observations), given the parameter triple
 ``eps``, ``q``, ``control``.
 
-Two special recursors each build a finite carrier whose canonical
+Two carrier builders, ``br`` and ``sbr`` under ``spector_params`` and
+``symmetric_params``, each build a finite carrier whose canonical
 extension solves the system.  The sequential one grows a finite sequence
 one slot at a time in index order; the demand-driven one grows a finite
 partial function at exactly the indices the control asks for.  Either
@@ -22,13 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from .context import (EvalContext, InternalInvariantViolation, ensure_stack,
-                      sibling_cache)
+from .context import EvalContext, InternalInvariantViolation
 from .pfun import EMPTY, EMPTY_SEQ, FiniteSeq, InfSeq, PartialFn, extend_hat
-from .recursors import RecursorParams, sbr
+from .recursors import RecursorParams, br, sbr
 from .threads import thread_decomposition, thread_of_partial
-
-_MISS = object()
 
 
 @dataclass(frozen=True)
@@ -50,6 +48,32 @@ class ChoiceParams:
         return self.q(extend_hat(carrier, self.default))
 
 
+def _choice_params(cp: ChoiceParams,
+                   combine: Callable[[Any, Any], Any],
+                   zero: Any) -> RecursorParams:
+    """The selection folded into a step functional: at the index ``n`` the
+    engine fills, select ``a = eps_n(fun x -> q_hat(p(x)))`` and combine
+    the state with the child carrier ``p(a)``.  The body is the identity,
+    so the result is the carrier itself."""
+    def step(state: Any, n: Any, p: Callable[[Any], Any]) -> Any:
+        a = cp.eps(n)(lambda x: cp.q_hat(p(x)))
+        return combine(state, p(a))
+
+    return RecursorParams(step=step, body=lambda state: state,
+                          control=cp.control, default=cp.default,
+                          default_result=zero)
+
+
+def spector_params(cp: ChoiceParams) -> RecursorParams:
+    """Parameters under which ``br`` builds the sequential carrier."""
+    return _choice_params(cp, FiniteSeq.overlay, EMPTY_SEQ)
+
+
+def symmetric_params(cp: ChoiceParams) -> RecursorParams:
+    """Parameters under which ``sbr`` builds the demand-driven carrier."""
+    return _choice_params(cp, PartialFn.merge, EMPTY)
+
+
 def phi_spector(cp: ChoiceParams, s: FiniteSeq,
                 ctx: EvalContext | None = None) -> FiniteSeq:
     """The sequential carrier builder.
@@ -58,27 +82,7 @@ def phi_spector(cp: ChoiceParams, s: FiniteSeq,
     with the selected value ``a_s = eps_{|s|}(fun x -> q_hat(child(x)))``
     and recurses; the result always extends ``s``.
     """
-    ctx = ctx or EvalContext()
-    ensure_stack()
-    memo = ctx.memo
-
-    def enter(s: FiniteSeq) -> FiniteSeq:
-        if memo is not None:
-            r = memo.get(("phi", s), _MISS)
-            if r is not _MISS:
-                return r
-        ctx.charge(len(s))
-        if cp.control(extend_hat(s, cp.default)) < len(s):
-            r = s
-        else:
-            child = sibling_cache(lambda x: enter(s.append(x)))
-            a = cp.eps(len(s))(lambda x: cp.q_hat(child(x)))
-            r = s.overlay(child(a))
-        if memo is not None:
-            memo[("phi", s)] = r
-        return r
-
-    return enter(s)
+    return br(spector_params(cp), s, ctx)
 
 
 def psi_symmetric(cp: ChoiceParams, u: PartialFn,
@@ -89,44 +93,15 @@ def psi_symmetric(cp: ChoiceParams, u: PartialFn,
     updates at the named index ``n_u`` with the selected value
     ``a_u = eps_{n_u}(fun x -> q_hat(child(x)))`` and recurses.
     """
-    ctx = ctx or EvalContext()
-    ensure_stack()
-    memo = ctx.memo
-
-    def enter(u: PartialFn) -> PartialFn:
-        if memo is not None:
-            r = memo.get(("psi", u), _MISS)
-            if r is not _MISS:
-                return r
-        ctx.charge(len(u))
-        n = cp.control(extend_hat(u, cp.default))
-        if u.defined_at(n):
-            r = u
-        else:
-            child = sibling_cache(lambda x: enter(u.update(n, x)))
-            a = cp.eps(n)(lambda x: cp.q_hat(child(x)))
-            r = u.merge(child(a))
-        if memo is not None:
-            memo[("psi", u)] = r
-        return r
-
-    return enter(u)
+    return sbr(symmetric_params(cp), u, ctx)
 
 
 def psi_via_sbr(cp: ChoiceParams, u: PartialFn,
                 ctx: EvalContext | None = None) -> PartialFn:
-    """The demand-driven carrier builder expressed through the generic
-    symmetric recursor, with the selection folded into the step functional
-    and the identity as body.  Extensionally equal to ``psi_symmetric``.
-    """
-    def step(v: PartialFn, p: Callable[[Any], PartialFn]) -> PartialFn:
-        n = cp.control(extend_hat(v, cp.default))
-        a = cp.eps(n)(lambda x: cp.q_hat(p(x)))
-        return v.merge(p(a))
-
-    params = RecursorParams(step=step, body=lambda v: v, control=cp.control,
-                            default=cp.default, default_result=EMPTY)
-    return sbr(params, u, ctx)
+    """Delegates to ``psi_symmetric``.  A function rather than an alias,
+    because ``perfbench/tracer.py`` looks this name up and wraps it on its
+    own."""
+    return psi_symmetric(cp, u, ctx)
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,10 @@ Two evaluation modes are supported.  In ``plain`` mode nothing is shared
 across body entries: each entry evaluates its continuation at most once
 per distinct argument (repeat invocations with the same argument inside
 one entry reuse the recorded result), and that is the only sharing.  In
-``memoized`` mode results are additionally cached for the whole evaluation,
-keyed by the canonical form of the recursion state.  Both modes yield
-deterministic call counts for a fixed instance.
+``memoized`` mode results are additionally cached for the whole evaluation
+in ``memo``, keyed by the recursion's parameters and state; one wrapper in
+``recursors`` serves both engines.  Both modes yield deterministic call
+counts for a fixed instance.
 """
 
 from __future__ import annotations
@@ -70,13 +71,11 @@ class InternalInvariantViolation(RuntimeError):
 class EvalContext:
     """Instrumentation for one evaluation: fuel, counters, memo tables."""
 
-    def __init__(self, fuel: int = DEFAULT_FUEL, mode: str = PLAIN,
-                 cache_extensions: bool = False):
+    def __init__(self, fuel: int = DEFAULT_FUEL, mode: str = PLAIN):
         if mode not in (PLAIN, MEMOIZED):
             raise ValueError("unknown mode %r" % (mode,))
         self.fuel = fuel
         self.mode = mode
-        self.cache_extensions = cache_extensions
         self.calls = 0
         self.max_domain = 0
         self.ticks = 0
@@ -103,8 +102,7 @@ class EvalContext:
 
     def fresh(self) -> "EvalContext":
         """A new context with the same configuration and zeroed counters."""
-        return EvalContext(fuel=self.fuel, mode=self.mode,
-                           cache_extensions=self.cache_extensions)
+        return EvalContext(fuel=self.fuel, mode=self.mode)
 
 
 def sibling_cache(f: Any) -> Any:

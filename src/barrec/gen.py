@@ -59,7 +59,7 @@ def gen_step(rng: random.Random) -> Callable[[Any, Callable], int]:
     x2 = rng.randint(0, 5)
     c = rng.randint(0, 9)
 
-    def step(_state: Any, p: Callable[[int], int]) -> int:
+    def step(_state: Any, _n: Any, p: Callable[[int], int]) -> int:
         if shape == 0:
             return p(x1) + c
         if shape == 1:

@@ -89,11 +89,10 @@ def _lift_sequential(params: RecursorParams) -> RecursorParams:
     def body(u: PartialFn) -> Any:
         return params.body(_unembed(u, params.default))
 
-    def step(u: PartialFn, p: Callable[[TaggedValue], Any]) -> Any:
+    def step(u: PartialFn, n: int, p: Callable[[TaggedValue], Any]) -> Any:
         ext = extend_hat(u, tagged_default)
-        cut = control(ext)
-        prefix = FiniteSeq(ext(i).value for i in range(cut))
-        return params.step(prefix, lambda x: p(TaggedValue(x, 1)))
+        prefix = FiniteSeq(ext(i).value for i in range(n))
+        return params.step(prefix, n, lambda x: p(TaggedValue(x, 1)))
 
     return RecursorParams(step=step, body=body, control=control,
                           default=tagged_default,
@@ -138,14 +137,13 @@ def _lift_staged(params: RecursorParams,
     def control(alpha: InfSeq) -> int:
         return params.control(diag_infinite(alpha, params.default))
 
-    def step(s: FiniteSeq, p: Callable[[YPair], Any]) -> Any:
+    def step(s: FiniteSeq, n: int, p: Callable[[YPair], Any]) -> Any:
         ds = diag_finite(s)
-        if ds.defined_at(len(s)):
+        if ds.defined_at(n):
             return p(YPair(ds, zero_cont))
-        cut = len(s)
 
         def restart(v: PartialFn, x: Any) -> Any:
-            return p(YPair(ds.splice(cut, x, v), zero_cont))
+            return p(YPair(ds.splice(n, x, v), zero_cont))
 
         return p(YPair(ds, restart))
 
@@ -155,7 +153,7 @@ def _lift_staged(params: RecursorParams,
         if ds.defined_at(m):
             return params.body(ds)
         slot = extend_hat(s, y_zero)(m)
-        return params.step(ds, sibling_cache(lambda x: slot.cont(ds, x)))
+        return params.step(ds, m, sibling_cache(lambda x: slot.cont(ds, x)))
 
     return RecursorParams(step=step, body=body, control=control,
                           default=y_zero,
@@ -262,12 +260,11 @@ def sbr_from_br(params: RecursorParams, u: PartialFn,
     def body(w: PartialFn) -> Any:
         return params.body(merged(w))
 
-    def step(w: PartialFn, p: Callable[[Any], Any]) -> Any:
+    def step(w: PartialFn, n: Any, p: Callable[[Any], Any]) -> Any:
         full = merged(w)
-        m = params.control(extend_hat(full, params.default))
-        if u.defined_at(m):
+        if u.defined_at(n):
             return params.body(full)
-        return params.step(full, p)
+        return params.step(full, n, p)
 
     relativised = RecursorParams(step=step, body=body, control=control,
                                  default=params.default,

@@ -189,30 +189,17 @@ class InfSeq:
     """A total function packaged as a callable value.
 
     Instances are compared and hashed by identity; extensional equality of
-    function values is never decided, only finite observations are.  An
-    optional memo cache may be attached when repeated queries at the same
-    index should be served from storage; queries must be deterministic
-    either way.
+    function values is never decided, only finite observations are.  Each
+    query calls the function afresh, so queries must be deterministic.
     """
 
-    __slots__ = ("fn", "memo")
+    __slots__ = ("fn",)
 
-    def __init__(self, fn: Callable[[Any], Any], memo: bool = False):
+    def __init__(self, fn: Callable[[Any], Any]):
         self.fn = fn
-        self.memo: dict | None = {} if memo else None
 
     def __call__(self, i: Any) -> Any:
-        memo = self.memo
-        if memo is None:
-            return self.fn(i)
-        if i not in memo:
-            memo[i] = self.fn(i)
-        return memo[i]
-
-    def memoized(self) -> "InfSeq":
-        if self.memo is not None:
-            return self
-        return InfSeq(self.fn, memo=True)
+        return self.fn(i)
 
     @classmethod
     def constant(cls, x: Any) -> "InfSeq":

@@ -5,8 +5,9 @@ the canonical extension falls below the length; ``sbr`` recurses over
 finite partial functions, updating at the index the control names and
 stopping as soon as that index is already defined.  ``theta`` is the
 thread-restricted variant of ``sbr`` that returns a supplied zero result
-on inputs the control could not itself have built.  ``sbr_discrete`` is
-``sbr`` over an arbitrary ground discrete index domain.
+on inputs the control could not itself have built.  The choice solvers
+and the translations in ``interdef`` are parameterisations of ``br`` and
+``sbr``, which share one memo wrapper.
 
 The parameter triple is opaque: the engine never inspects ``step``,
 ``body`` or ``control``, it only applies them.  Sharing behaviour and the
@@ -25,27 +26,46 @@ from .threads import is_thread
 _MISS = object()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RecursorParams:
     """The parameter triple of a bar recursion, plus the canonical zeros.
 
-    ``step`` receives the current state and a continuation from values to
-    results; ``body`` maps a stopped state to a result; ``control`` maps a
+    ``step(state, n, p)`` receives the current state, the index ``n`` the
+    continuation fills (``len(state)`` for ``br``, the control's named
+    index for ``sbr``) and the continuation ``p`` from values to results;
+    ``body`` maps a stopped state to a result; ``control`` maps a
     canonical extension to an index.  ``default`` is the zero of the value
     domain used to form extensions, and ``default_result`` is the zero of
     the result domain (only the thread-restricted recursor reads it).
+    Parameter sets compare by identity, which is how the memo tells
+    recursions apart.
     """
 
-    step: Callable[[Any, Callable[[Any], Any]], Any]
+    step: Callable[[Any, Any, Callable[[Any], Any]], Any]
     body: Callable[[Any], Any]
     control: Callable[[InfSeq], Any]
     default: Any
     default_result: Any = None
 
 
-def _extension(ctx: EvalContext, u: Any, default: Any) -> InfSeq:
-    ext = extend_hat(u, default)
-    return ext.memoized() if ctx.cache_extensions else ext
+def _memoized(ctx: EvalContext, params: RecursorParams,
+              enter: Callable[[Any], Any]) -> Callable[[Any], Any]:
+    """``enter`` itself in ``plain`` mode; in ``memoized`` mode, ``enter``
+    behind the context's memo, keyed by the parameters and the canonical
+    form of the state."""
+    memo = ctx.memo
+    if memo is None:
+        return enter
+
+    def cached(state: Any) -> Any:
+        key = (params, state)
+        r = memo.get(key, _MISS)
+        if r is _MISS:
+            r = enter(state)
+            memo[key] = r
+        return r
+
+    return cached
 
 
 def br(params: RecursorParams, s: FiniteSeq,
@@ -53,23 +73,16 @@ def br(params: RecursorParams, s: FiniteSeq,
     """Sequential bar recursion from the finite sequence ``s``."""
     ctx = ctx or EvalContext()
     ensure_stack()
-    memo = ctx.memo
 
     def enter(s: FiniteSeq) -> Any:
-        if memo is not None:
-            r = memo.get(("br", s), _MISS)
-            if r is not _MISS:
-                return r
         ctx.charge(len(s))
-        if params.control(_extension(ctx, s, params.default)) < len(s):
-            r = params.body(s)
-        else:
-            r = params.step(s, sibling_cache(lambda x: enter(s.append(x))))
-        if memo is not None:
-            memo[("br", s)] = r
-        return r
+        n = len(s)
+        if params.control(extend_hat(s, params.default)) < n:
+            return params.body(s)
+        return params.step(s, n, sibling_cache(lambda x: run(s.append(x))))
 
-    return enter(s)
+    run = _memoized(ctx, params, enter)
+    return run(s)
 
 
 def sbr(params: RecursorParams, u: PartialFn,
@@ -78,27 +91,23 @@ def sbr(params: RecursorParams, u: PartialFn,
 
     The control is evaluated once per entry; its value is both the
     stopping test and the index at which the continuation updates.
+
+    Indices may be drawn from any ground discrete domain, that is any type
+    with decidable equality and a total order (naturals, booleans, pairs
+    of these); the control must then return indices of that type.
     """
     ctx = ctx or EvalContext()
     ensure_stack()
-    memo = ctx.memo
 
     def enter(u: PartialFn) -> Any:
-        if memo is not None:
-            r = memo.get(("sbr", u), _MISS)
-            if r is not _MISS:
-                return r
         ctx.charge(len(u))
-        n = params.control(_extension(ctx, u, params.default))
+        n = params.control(extend_hat(u, params.default))
         if u.defined_at(n):
-            r = params.body(u)
-        else:
-            r = params.step(u, sibling_cache(lambda x: enter(u.update(n, x))))
-        if memo is not None:
-            memo[("sbr", u)] = r
-        return r
+            return params.body(u)
+        return params.step(u, n, sibling_cache(lambda x: run(u.update(n, x))))
 
-    return enter(u)
+    run = _memoized(ctx, params, enter)
+    return run(u)
 
 
 def theta(params: RecursorParams, u: PartialFn,
@@ -118,11 +127,6 @@ def theta(params: RecursorParams, u: PartialFn,
 
 def sbr_discrete(params: RecursorParams, u: PartialFn,
                  ctx: EvalContext | None = None) -> Any:
-    """Symmetric bar recursion over a ground discrete index domain.
-
-    Indices may be drawn from any type with decidable equality and a total
-    order (naturals, booleans, pairs of these); the control must return
-    indices of that type.  Over the naturals this is definitionally the
-    same recursion as ``sbr``, and the engine is shared.
-    """
+    """Delegates to ``sbr``.  A function rather than an alias, because
+    ``perfbench/tracer.py`` looks this name up and wraps it on its own."""
     return sbr(params, u, ctx)

@@ -4,9 +4,11 @@ import random
 
 from barrec import gen
 from barrec.choice import (ChoiceParams, SpectorSolution, phi_spector,
-                           psi_symmetric, psi_via_sbr, solve_spector,
-                           solve_symmetric, values_equal, verify_equations)
+                           psi_symmetric, solve_spector, solve_symmetric,
+                           spector_params, symmetric_params, values_equal,
+                           verify_equations)
 from barrec.context import EvalContext
+from barrec.interdef import br_from_sbr, sbr_from_br
 from barrec.pfun import EMPTY, EMPTY_SEQ, FiniteSeq, InfSeq, PartialFn
 from barrec.threads import is_thread, thread_of_partial
 
@@ -27,7 +29,7 @@ def test_psi_stops_on_defined_control():
     cp = constant_control_params()
     u = PartialFn.single(0, 5)
     assert psi_symmetric(cp, u, EvalContext()) == u
-    assert psi_via_sbr(cp, u, EvalContext()) == u
+    assert sbr_from_br(symmetric_params(cp), u) == u
 
 
 def test_solve_with_constant_control():
@@ -59,12 +61,14 @@ def test_corrupted_solution_fails():
     assert not verify_equations(bad, cp)
 
 
-def test_psi_via_sbr_matches_psi_symmetric():
+def test_carriers_agree_across_engines():
     rng = random.Random(42)
     for _ in range(50):
         cp = gen.gen_choice_instance(rng)
-        assert psi_via_sbr(cp, EMPTY, EvalContext()) == \
+        assert sbr_from_br(symmetric_params(cp), EMPTY) == \
             psi_symmetric(cp, EMPTY, EvalContext())
+        assert br_from_sbr(spector_params(cp), EMPTY_SEQ) == \
+            phi_spector(cp, EMPTY_SEQ, EvalContext())
 
 
 def test_carrier_is_thread_and_rerooting_is_stable():

@@ -2,10 +2,13 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
 
-from barrec import cli
+import pytest
+
+from barrec import checks, cli
 
 
 def run_main(args, capsys):
@@ -115,11 +118,39 @@ def test_bench_csv_and_json_numeric_content_agree(tmp_path):
             assert str(jrow[key]) == crow[key]
 
 
-def test_check_subcommand(capsys):
-    rc, out = run_main(["check", "--suite", "dsl", "--cases", "20",
+def test_bench_text_marks_unverified_reference(capsys):
+    rc, out = run_main(["bench", "--family", "prodpow"], capsys)
+    assert rc == 0
+    assert "577 / 2350 (?)" in out and "577 / 365700 " in out
+    assert "(?) unverified reference row" in out
+
+
+def test_bench_non_integer_range_exit_2(capsys):
+    rc = cli.main(["bench", "--n", "x"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: --n") and err.count("\n") == 1
+
+
+def test_bench_empty_range_exit_2(capsys):
+    rc, out = run_main(["bench", "--n", "6..4"], capsys)
+    assert rc == 2
+    assert out == ""
+
+
+def test_thread_non_integer_index_exit_2(capsys):
+    rc = cli.main(["thread", "--h", "g(0)", "--u", '{"a": 3}'])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: --u") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("suite", list(checks.ALL_SUITES))
+def test_check_subcommand(suite, capsys):
+    rc, out = run_main(["check", "--suite", suite, "--cases", "3",
                         "--seed", "1"], capsys)
     assert rc == 0
-    assert "dsl" in out and "failed=0" in out
+    assert suite in out and "failed=0" in out
 
 
 def test_thread_subcommand_json(capsys):
@@ -163,8 +194,8 @@ def test_env_var_fuel(tmp_path):
     script = ("import sys; from barrec import cli; "
               "sys.exit(cli.main(['solve', '--builtin', 'prod:6']))")
     proc = subprocess.run([sys.executable, "-c", script],
-                          env={"BARREC_FUEL": "5", "PATH": "/usr/bin:/bin"},
-                          capture_output=True, text=True, cwd="/root/pkg")
+                          env={**os.environ, "BARREC_FUEL": "5"},
+                          capture_output=True, text=True)
     assert proc.returncode == 3
 
 

@@ -43,14 +43,14 @@ def test_lifted_control_law():
 
 
 def test_br_from_sbr_trivial_stop():
-    params = RecursorParams(step=lambda s, p: 99, body=lambda t: ("b", t),
+    params = RecursorParams(step=lambda s, n, p: 99, body=lambda t: ("b", t),
                             control=lambda a: 0, default=0)
     s = FiniteSeq((5,))
     assert br_from_sbr(params, s) == br(params, s) == ("b", s)
 
 
 def test_br_from_sbr_one_unfold():
-    params = RecursorParams(step=lambda s, p: p(9) + 1, body=lambda t: t[0],
+    params = RecursorParams(step=lambda s, n, p: p(9) + 1, body=lambda t: t[0],
                             control=lambda a: 0, default=0)
     assert br_from_sbr(params, EMPTY_SEQ) == 10
 
@@ -95,7 +95,7 @@ def test_diag_infinite_matches_finite_on_extensions():
 
 
 def test_theta_from_br_nonthread_returns_zero_result():
-    params = RecursorParams(step=lambda u, p: p(1), body=lambda v: len(v),
+    params = RecursorParams(step=lambda u, n, p: p(1), body=lambda v: len(v),
                             control=lambda a: 0, default=0,
                             default_result=-3)
     assert theta_from_br(params, PartialFn.single(5, 1)) == -3
@@ -129,14 +129,14 @@ def test_stage_read_back_and_lengths():
 
 
 def test_sbr_from_br_trivial_stop():
-    params = RecursorParams(step=lambda u, p: 99, body=lambda v: ("b", v),
+    params = RecursorParams(step=lambda u, n, p: 99, body=lambda v: ("b", v),
                             control=lambda a: 0, default=0, default_result=0)
     u = PartialFn.single(0, 5)
     assert sbr_from_br(params, u) == sbr(params, u) == ("b", u)
 
 
 def test_sbr_from_br_two_updates():
-    params = RecursorParams(step=lambda u, p: p(1), body=lambda v: len(v),
+    params = RecursorParams(step=lambda u, n, p: p(1), body=lambda v: len(v),
                             control=lambda a: a(0) % 2, default=0,
                             default_result=0)
     assert sbr_from_br(params, EMPTY) == 2

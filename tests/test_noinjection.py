@@ -52,9 +52,10 @@ def test_symmetric_carrier_prod():
 
 
 def test_generic_engine_formulation_on_prod():
-    from barrec.choice import psi_via_sbr
+    from barrec.choice import symmetric_params
+    from barrec.interdef import sbr_from_br
     cp = make_choice_params(builtin_h("prod", 4))
-    v = psi_via_sbr(cp, EMPTY, EvalContext())
+    v = sbr_from_br(symmetric_params(cp), EMPTY, EvalContext())
     w = psi_symmetric(cp, EMPTY, EvalContext())
     # Function-valued carriers agree extensionally (value objects differ).
     assert v.domain() == w.domain() == (16,)

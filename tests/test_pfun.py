@@ -129,7 +129,7 @@ def test_sequence_as_partial():
     assert s.append(9) == FiniteSeq((7, 8, 9))
 
 
-def test_infseq_memo_and_constant():
+def test_infseq_uncached_and_constant():
     hits = []
 
     def f(i):
@@ -139,9 +139,6 @@ def test_infseq_memo_and_constant():
     raw = InfSeq(f)
     raw(3), raw(3)
     assert hits == [3, 3]
-    memo = InfSeq(f, memo=True)
-    memo(4), memo(4)
-    assert hits == [3, 3, 4]
     assert InfSeq.constant(2).prefix(3) == [2, 2, 2]
 
 

@@ -14,7 +14,8 @@ from barrec.threads import sspec_witness
 
 
 def test_br_immediate_stop():
-    params = RecursorParams(step=lambda s, p: 99, body=lambda t: ("stop", t),
+    params = RecursorParams(step=lambda s, n, p: 99,
+                            body=lambda t: ("stop", t),
                             control=lambda a: 0, default=0)
     ctx = EvalContext()
     assert br(params, FiniteSeq((7,)), ctx) == ("stop", FiniteSeq((7,)))
@@ -22,19 +23,19 @@ def test_br_immediate_stop():
 
 
 def test_br_one_unfold():
-    params = RecursorParams(step=lambda s, p: p(9) + 1, body=lambda t: t[0],
+    params = RecursorParams(step=lambda s, n, p: p(9) + 1, body=lambda t: t[0],
                             control=lambda a: 0, default=0)
     assert br(params, EMPTY_SEQ) == 10
 
 
 def test_br_counting_unfold():
-    params = RecursorParams(step=lambda s, p: p(0), body=lambda t: len(t),
+    params = RecursorParams(step=lambda s, n, p: p(0), body=lambda t: len(t),
                             control=lambda a: a(0), default=0)
     assert br(params, EMPTY_SEQ) == 1
 
 
 def test_sbr_immediate_stop():
-    params = RecursorParams(step=lambda u, p: 99, body=lambda v: v,
+    params = RecursorParams(step=lambda u, n, p: 99, body=lambda v: v,
                             control=lambda a: 0, default=0)
     ctx = EvalContext()
     u = PartialFn.single(0, 5)
@@ -43,13 +44,13 @@ def test_sbr_immediate_stop():
 
 
 def test_sbr_one_unfold():
-    params = RecursorParams(step=lambda u, p: p(9) + 1, body=lambda v: v(0),
+    params = RecursorParams(step=lambda u, n, p: p(9) + 1, body=lambda v: v(0),
                             control=lambda a: 0, default=0)
     assert sbr(params, EMPTY) == 10
 
 
 def test_sbr_two_updates():
-    params = RecursorParams(step=lambda u, p: p(1), body=lambda v: len(v),
+    params = RecursorParams(step=lambda u, n, p: p(1), body=lambda v: len(v),
                             control=lambda a: a(0) % 2, default=0)
     ctx = EvalContext()
     assert sbr(params, EMPTY, ctx) == 2
@@ -57,7 +58,7 @@ def test_sbr_two_updates():
 
 
 def test_theta_clauses():
-    params = RecursorParams(step=lambda u, p: p(1), body=lambda v: len(v),
+    params = RecursorParams(step=lambda u, n, p: p(1), body=lambda v: len(v),
                             control=lambda a: 0, default=0,
                             default_result=-1)
     # Index 5 is not reachable from the constant-0 control, so the input
@@ -92,7 +93,7 @@ def test_counters_deterministic_and_modes_agree():
 def test_domain_growth_monotone():
     seen = []
 
-    def step(u, p):
+    def step(u, n, p):
         seen.append(len(u))
         return p(1)
 
@@ -108,7 +109,7 @@ def test_witness_bounds_depth_along_fixed_sequence():
         control = gen.gen_control(rng)
         alpha = gen.gen_alpha(rng)
         params = RecursorParams(
-            step=lambda v, p: p(alpha(control(extend_hat(v, 0)))),
+            step=lambda v, n, p: p(alpha(n)),
             body=lambda v: len(v), control=control, default=0)
         ctx = EvalContext()
         depth = sbr(params, EMPTY, ctx)
@@ -122,7 +123,7 @@ def test_bar_depth_bounded_by_stopping_point():
     for _ in range(50):
         control = gen.gen_control(rng)
         alpha = gen.gen_alpha(rng)
-        params = RecursorParams(step=lambda s, p: p(alpha(len(s))),
+        params = RecursorParams(step=lambda s, n, p: p(alpha(n)),
                                 body=lambda t: len(t), control=control,
                                 default=0)
         depth = br(params, EMPTY_SEQ)
@@ -130,7 +131,7 @@ def test_bar_depth_bounded_by_stopping_point():
 
 
 def test_fuel_exhausted_carries_metrics():
-    params = RecursorParams(step=lambda s, p: p(1), body=lambda t: 0,
+    params = RecursorParams(step=lambda s, n, p: p(1), body=lambda t: 0,
                             control=lambda a: sum(a(i) for i in range(500)),
                             default=0)
     ctx = EvalContext(fuel=20)
@@ -143,7 +144,7 @@ def test_fuel_exhausted_carries_metrics():
 def test_sibling_sharing_within_one_entry():
     entries = []
 
-    def step(u, p):
+    def step(u, n, p):
         entries.append(u)
         return p(1) + p(1)
 
@@ -156,12 +157,12 @@ def test_sibling_sharing_within_one_entry():
 
 
 def test_sbr_discrete_booleans():
-    params = RecursorParams(step=lambda u, p: p("x"),
+    params = RecursorParams(step=lambda u, n, p: p("x"),
                             body=lambda v: ("stopped", v),
                             control=lambda a: False, default="z")
     u = PartialFn.single(False, "y")
-    assert sbr_discrete(params, u) == ("stopped", u)
-    assert sbr_discrete(params, EMPTY) == \
+    assert sbr(params, u) == ("stopped", u)
+    assert sbr(params, EMPTY) == \
         ("stopped", PartialFn.single(False, "x"))
 
 
@@ -177,16 +178,16 @@ def test_sbr_discrete_bool_pairs():
         return (alpha((False, False)) % 2 == 1,
                 alpha((True, True)) % 2 == 0)
 
-    params = RecursorParams(step=lambda u, p: p(1), body=lambda v: v,
+    params = RecursorParams(step=lambda u, n, p: p(1), body=lambda v: v,
                             control=control, default=0)
     ctx = EvalContext()
-    result = sbr_discrete(params, EMPTY, ctx)
+    result = sbr(params, EMPTY, ctx)
     assert result.defined_at(control(extend_hat(result, 0)))
     assert ctx.max_domain <= 4
 
 
 def test_memoized_mode_agrees_with_plain():
-    params = RecursorParams(step=lambda u, p: p(1) + p(2),
+    params = RecursorParams(step=lambda u, n, p: p(1) + p(2),
                             body=lambda v: len(v),
                             control=lambda a: a(0) + a(1), default=0)
     plain = EvalContext(mode="plain")
