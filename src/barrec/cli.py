@@ -152,11 +152,7 @@ def cmd_solve(args) -> int:
                  else (args.recursor,))
     rows = []
     for recursor in recursors:
-        try:
-            rows.append(_run_cell(h, family, n, recursor, args.mode,
-                                  args.fuel))
-        except FuelExhausted:
-            return EXIT_FUEL
+        rows.append(_run_cell(h, family, n, recursor, args.mode, args.fuel))
         if rows[-1].get("error") == "fuel-exhausted":
             return EXIT_FUEL
     _emit(_format_rows(rows, args.format), args.output)
@@ -283,7 +279,7 @@ def cmd_thread(args) -> int:
     steps = args.steps if args.steps is not None else len(u) + 1
     source = extend_hat(u, args.default) if args.total else u
     trace = trace_thread(control, source, steps, args.default,
-                         total=args.total)
+                         EvalContext(fuel=args.fuel))
     if args.format == "json":
         _emit(json.dumps(trace.to_json(), indent=2) + "\n", args.output)
         return EXIT_OK
@@ -331,7 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, with_h=False):
         p.add_argument("--fuel", type=int, default=_fuel_fallback(),
-                       help="recursor entry budget (env BARREC_FUEL)")
+                       help="budget of recursor entries and thread steps "
+                            "(env BARREC_FUEL)")
         p.add_argument("--format", choices=("text", "csv", "json"),
                        default="text")
         p.add_argument("--output", default=None,

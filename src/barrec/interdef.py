@@ -24,10 +24,9 @@ from __future__ import annotations
 from typing import Any, Callable, NamedTuple
 
 from .context import EvalContext, sibling_cache
-from .pfun import (EMPTY, EMPTY_SEQ, FiniteSeq, InfSeq, PartialFn,
-                   bounded_search, extend_hat)
+from .pfun import EMPTY, EMPTY_SEQ, FiniteSeq, InfSeq, PartialFn, extend_hat
 from .recursors import RecursorParams, br, sbr
-from .threads import is_thread
+from .threads import stubborn_control, thread_decomposition
 
 __all__ = [
     "TaggedValue", "YPair", "br_from_sbr", "diag_finite", "diag_infinite",
@@ -82,10 +81,6 @@ def _unembed(u: PartialFn, default: Any) -> FiniteSeq:
 def _lift_sequential(params: RecursorParams) -> RecursorParams:
     tagged_default = TaggedValue(params.default, 0)
 
-    def control(alpha: InfSeq) -> int:
-        bound = params.control(InfSeq(lambda k: alpha(k).value))
-        return bounded_search(bound, lambda i: alpha(i).flag == 0)
-
     def body(u: PartialFn) -> Any:
         return params.body(_unembed(u, params.default))
 
@@ -94,7 +89,8 @@ def _lift_sequential(params: RecursorParams) -> RecursorParams:
         prefix = FiniteSeq(ext(i).value for i in range(n))
         return params.step(prefix, n, lambda x: p(TaggedValue(x, 1)))
 
-    return RecursorParams(step=step, body=body, control=control,
+    return RecursorParams(step=step, body=body,
+                          control=stubborn_control(params.control),
                           default=tagged_default,
                           default_result=params.default_result)
 
@@ -166,36 +162,32 @@ def carrier_stages(params: RecursorParams, u: PartialFn,
     stages the length-``i`` thread.  Requires ``u`` to be a thread of the
     instance's control."""
     ctx = ctx or EvalContext()
-    zero_cont = _make_zero_cont(params)
-    lifted = _lift_staged(params, zero_cont)
-    return _build_stages(params, u, ctx, lifted, zero_cont)
+    decomp = thread_decomposition(params.control, u, params.default, ctx)
+    if decomp is None:
+        raise ValueError("input is not a thread of the control")
+    return _build_stages(params, decomp, ctx)[1]
 
 
-def _make_zero_cont(params: RecursorParams) -> Callable:
-    def zero_cont(_v: PartialFn, _x: Any) -> Any:
-        return params.default_result
+def _build_stages(params: RecursorParams, decomp: list, ctx: EvalContext
+                  ) -> tuple:
+    """The lifted parameters, and the staging sequences along the thread
+    update sequence ``decomp``.
 
-    return zero_cont
-
-
-def _build_stages(params: RecursorParams, u: PartialFn, ctx: EvalContext,
-                  lifted: RecursorParams, zero_cont: Callable) -> list:
-    """Stage ``i+1`` either truncates stage ``i`` just below the named
+    Stage ``i+1`` either truncates stage ``i`` just below the named
     index (when that index was already staged) or pads it with restart
     slots up to the named index; either way the updated thread snapshot
     lands at the named index, so stage ``i+1`` has length ``n_i + 1``.
     Restart slots are built left to right, each closing over the part of
     the stage already built, which is all a restart needs to re-run the
     sequential engine with its own position filled in."""
+    def zero_cont(_v: PartialFn, _x: Any) -> Any:
+        return params.default_result
+
+    lifted = _lift_staged(params, zero_cont)
     stages = [EMPTY_SEQ]
     slots: list = []
-    thread = EMPTY
-    for _ in range(len(u)):
-        ctx.tick()
-        n = params.control(extend_hat(thread, params.default))
-        if thread.defined_at(n) or not u.defined_at(n):
-            raise ValueError("input is not a thread of the control")
-        thread = thread.update(n, u(n))
+    for k, (n, _) in enumerate(decomp):
+        thread = PartialFn(decomp[:k + 1])
         if n < len(slots):
             slots = slots[:n] + [YPair(thread, zero_cont)]
         else:
@@ -211,7 +203,7 @@ def _build_stages(params: RecursorParams, u: PartialFn, ctx: EvalContext,
             new_slots.append(YPair(thread, zero_cont))
             slots = new_slots
         stages.append(FiniteSeq(slots))
-    return stages
+    return lifted, stages
 
 
 def _make_restart(lifted: RecursorParams, built: FiniteSeq, ds: PartialFn,
@@ -231,11 +223,10 @@ def theta_from_br(params: RecursorParams, u: PartialFn,
     to ``theta``: the zero result on non-threads, the symmetric recursion
     otherwise."""
     ctx = ctx or EvalContext()
-    if not is_thread(params.control, u, params.default, ctx):
+    decomp = thread_decomposition(params.control, u, params.default, ctx)
+    if decomp is None:
         return params.default_result
-    zero_cont = _make_zero_cont(params)
-    lifted = _lift_staged(params, zero_cont)
-    stages = _build_stages(params, u, ctx, lifted, zero_cont)
+    lifted, stages = _build_stages(params, decomp, ctx)
     return br(lifted, stages[-1], ctx)
 
 

@@ -137,16 +137,6 @@ class Counterexample:
     def prefix_length(self) -> int:
         return max(self.i, 8) + 1
 
-    def to_json(self) -> dict:
-        k = self.prefix_length()
-        return {
-            "i": self.i,
-            "alpha_prefix": self.alpha.prefix(k),
-            "beta_prefix": self.beta.prefix(k),
-            "carrier_size": self.carrier_size,
-            "metrics": self.metrics.to_json(),
-        }
-
 
 def counterexample(h: HFunctional, recursor: str,
                    ctx: EvalContext | None = None) -> Counterexample:

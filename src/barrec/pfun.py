@@ -51,9 +51,6 @@ class FiniteSeq:
         """The one-element extension ``s * x``."""
         return FiniteSeq(self.items + (x,))
 
-    def concat(self, other: "FiniteSeq") -> "FiniteSeq":
-        return FiniteSeq(self.items + other.items)
-
     def take(self, n: int) -> "FiniteSeq":
         """Initial segment of length ``n`` (all of ``s`` if ``n >= |s|``)."""
         return FiniteSeq(self.items[:n])
@@ -109,9 +106,6 @@ class PartialFn:
         return "PartialFn({%s})" % ", ".join(
             "%r: %r" % (n, x) for n, x in self.entries)
 
-    def __contains__(self, n: Any) -> bool:
-        return self.defined_at(n)
-
     def defined_at(self, n: Any) -> bool:
         return any(m == n for m, _ in self.entries)
 
@@ -120,12 +114,6 @@ class PartialFn:
             if m == n:
                 return x
         raise KeyError(n)
-
-    def get(self, n: Any, default: Any = None) -> Any:
-        for m, x in self.entries:
-            if m == n:
-                return x
-        return default
 
     def domain(self) -> tuple:
         return tuple(n for n, _ in self.entries)
@@ -160,9 +148,6 @@ class PartialFn:
         """Domain inclusion with agreement on the smaller domain."""
         return all(other.defined_at(n) and other(n) == x
                    for n, x in self.entries)
-
-    def lt(self, other: "PartialFn") -> bool:
-        return len(self) < len(other) and self.leq(other)
 
     def restrict_below(self, n: Any) -> "PartialFn":
         """The restriction of ``u`` to indices strictly below ``n``."""

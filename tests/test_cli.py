@@ -190,6 +190,12 @@ def test_failed_verification_exit_4(monkeypatch, capsys):
     assert rc == 4
 
 
+def test_thread_fuel_exit_3(capsys):
+    args = ["thread", "--builtin", "prod:3", "--total", "--steps", "10"]
+    assert cli.main(args + ["--fuel", "1"]) == 3
+    assert cli.main(args + ["--fuel", "2"]) == 0
+
+
 def test_env_var_fuel(tmp_path):
     script = ("import sys; from barrec import cli; "
               "sys.exit(cli.main(['solve', '--builtin', 'prod:6']))")

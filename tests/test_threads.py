@@ -1,11 +1,13 @@
 """Thread construction, the thread predicate, and termination witnesses."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from barrec import gen
 from barrec.context import EvalContext, FuelExhausted
+from barrec.interdef import theta_from_br
 from barrec.pfun import EMPTY, InfSeq, PartialFn, extend_hat
 from barrec.threads import (is_thread, spec_witness, sspec_witness,
                             theta_bound, thread_decomposition,
@@ -133,8 +135,52 @@ def test_trace_partial_stabilises():
 
 
 def test_trace_total_and_json():
-    trace = trace_thread(lambda a: a(0), InfSeq(lambda n: n + 1), 3, 0,
-                         total=True)
+    trace = trace_thread(lambda a: a(0), InfSeq(lambda n: n + 1), 3, 0)
     data = trace.to_json()
     assert data["steps"][0] == {"n": 0, "defined": True, "value": 1}
     assert data["final"] == {"0": 1, "1": 2}
+
+
+def counting(control):
+    calls = []
+
+    def counted(alpha):
+        calls.append(None)
+        return control(alpha)
+
+    return counted, calls
+
+
+def test_one_tick_per_control_evaluation():
+    rng = random.Random(13)
+    for _ in range(50):
+        control, thread = gen.gen_thread_input(rng)
+        alpha = gen.gen_alpha(rng)
+        for c in (control, gen.gen_control(rng)):
+            runs = (
+                lambda f, ctx: thread_of_partial(f, thread, 4, 0, ctx),
+                lambda f, ctx: thread_of_total(f, alpha, 4, 0, ctx),
+                lambda f, ctx: is_thread(f, thread, 0, ctx),
+                lambda f, ctx: thread_decomposition(f, thread, 0, ctx),
+                lambda f, ctx: theta_bound(f, alpha, 0, ctx),
+                lambda f, ctx: trace_thread(f, thread, None, 0, ctx),
+                lambda f, ctx: trace_thread(f, alpha, None, 0, ctx),
+            )
+            for run in runs:
+                counted, calls = counting(c)
+                ctx = EvalContext()
+                run(counted, ctx)
+                assert ctx.ticks == len(calls)
+
+
+def test_theta_from_br_walks_the_thread_once():
+    rng = random.Random(17)
+    lengths = []
+    for _ in range(50):
+        control, u = gen.gen_thread_input(rng)
+        params = replace(gen.gen_sbr_instance(rng)[0], control=control)
+        ctx = EvalContext()
+        theta_from_br(params, u, ctx)
+        assert ctx.ticks == len(u)
+        lengths.append(len(u))
+    assert max(lengths) >= 2
