@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
+from typing import Iterator
 
 from . import gen, hdsl
 from .choice import (phi_spector, psi_symmetric, solve_spector,
@@ -46,10 +47,6 @@ class SuiteResult:
     @property
     def ok(self) -> bool:
         return self.failed == 0
-
-    def to_json(self) -> dict:
-        return {"suite": self.name, "passed": self.passed,
-                "failed": self.failed, "failures": self.failures}
 
 
 def suite_threads(seed: int = 0, cases: int = 500) -> SuiteResult:
@@ -229,20 +226,28 @@ def suite_indexwise(seed: int = 0, cases: int = 50) -> SuiteResult:
     return res
 
 
-def suite_interdef(seed: int = 0, cases: int = 200,
-                   thread_cases: int = 100) -> SuiteResult:
-    """Differential equivalence of each translation against the direct
-    engine, plus the staged-representation read-back identity."""
-    rng = random.Random(seed)
-    res = SuiteResult("interdef")
+def interdef_differential(rng: random.Random, cases: int) -> Iterator[tuple]:
+    """Each translation against the direct engine on ``cases`` generated
+    instances per direction: yields ``(case, direction, agree)``, first
+    ``"sequential"`` (``br_from_sbr`` against ``br``), then
+    ``"symmetric"`` (``sbr_from_br`` against ``sbr``)."""
     for case in range(cases):
         params, s = gen.gen_br_instance(rng)
-        res.check(br_from_sbr(params, s) == br(params, s),
-                  "case %d: sequential-from-symmetric differs" % case)
+        yield case, "sequential", br_from_sbr(params, s) == br(params, s)
         sparams, u = gen.gen_sbr_instance(rng)
-        res.check(sbr_from_br(sparams, u) == sbr(sparams, u),
-                  "case %d: symmetric-from-sequential differs" % case)
-    for case in range(thread_cases):
+        yield case, "symmetric", sbr_from_br(sparams, u) == sbr(sparams, u)
+
+
+def suite_interdef(seed: int = 0, cases: int = 200) -> SuiteResult:
+    """Differential equivalence of each translation against the direct
+    engine, plus the staged-representation read-back identity on 100
+    generated threads."""
+    rng = random.Random(seed)
+    res = SuiteResult("interdef")
+    for case, direction, agree in interdef_differential(rng, cases):
+        res.check(agree, "case %d: %s translation differs"
+                  % (case, direction))
+    for case in range(100):
         control, u = gen.gen_thread_input(rng)
         params = replace(gen.gen_sbr_instance(rng)[0], control=control)
         res.check(theta_from_br(params, u) == theta(params, u),
@@ -254,14 +259,15 @@ def suite_interdef(seed: int = 0, cases: int = 200,
                 ok = False
         res.check(ok, "thread case %d: stage read-back misses the thread"
                   % case)
+        lengths_ok = True
         thread = EMPTY
         for i in range(len(u)):
             ni = control(extend_hat(thread, 0))
             thread = thread.update(ni, u(ni))
             if len(stages[i + 1]) != ni + 1:
-                ok = False
-        res.check(ok, "thread case %d: stage length is not the named "
-                      "index plus one" % case)
+                lengths_ok = False
+        res.check(lengths_ok, "thread case %d: stage length is not the "
+                              "named index plus one" % case)
         nonthread = PartialFn(((control(extend_hat(EMPTY, 0)) + 1, 0),))
         if not is_thread(control, nonthread, 0):
             res.check(theta_from_br(params, nonthread) == 0,
@@ -270,8 +276,7 @@ def suite_interdef(seed: int = 0, cases: int = 200,
     return res
 
 
-def suite_counterexamples(seed: int = 0, dsl_cases: int = 100
-                          ) -> SuiteResult:
+def suite_counterexamples(seed: int = 0, cases: int = 100) -> SuiteResult:
     """Collision extraction is valid for every built-in family over its
     table range and for generated DSL functionals, on both solvers."""
     rng = random.Random(seed)
@@ -285,7 +290,7 @@ def suite_counterexamples(seed: int = 0, dsl_cases: int = 100
                 res.check(verify_counterexample(h, c),
                           "%s n=%d %s: invalid collision"
                           % (family, n, recursor))
-    for case in range(dsl_cases):
+    for case in range(cases):
         _, h = gen.gen_h_for_counterexample(rng)
         for recursor in ("spector", "symmetric"):
             c = counterexample(h, recursor, EvalContext())
@@ -294,10 +299,9 @@ def suite_counterexamples(seed: int = 0, dsl_cases: int = 100
     return res
 
 
-def suite_dsl(seed: int = 0, gammas: int = 100,
-              roundtrips: int = 200) -> SuiteResult:
-    """DSL conformance: built-in families against their DSL renderings,
-    and printer round-trips."""
+def suite_dsl(seed: int = 0, cases: int = 200) -> SuiteResult:
+    """DSL conformance: built-in families against their DSL renderings
+    on 100 generated sequences each, and ``cases`` printer round-trips."""
     rng = random.Random(seed)
     res = SuiteResult("dsl")
     for family in ("prod", "prodpow", "leastinc", "contrived"):
@@ -305,12 +309,12 @@ def suite_dsl(seed: int = 0, gammas: int = 100,
         href = builtin_h(family, n)
         hdsl_fn = hdsl.as_functional(hdsl.parse(builtin_dsl(family, n)))
         agree = True
-        for _ in range(gammas):
+        for _ in range(100):
             gamma = gen.gen_alpha(rng)
             if href(gamma) != hdsl_fn(gamma):
                 agree = False
         res.check(agree, "%s n=%d: DSL rendering disagrees" % (family, n))
-    for case in range(roundtrips):
+    for case in range(cases):
         e = gen.gen_hexpr(rng, depth=rng.randint(0, 3))
         res.check(hdsl.parse(hdsl.to_text(e)) == e,
                   "case %d: round-trip changed the term" % case)
@@ -330,17 +334,7 @@ ALL_SUITES = {
 
 def run_suites(names=None, seed: int = 0, cases: int | None = None) -> list:
     """Run the named suites (all by default); ``cases`` overrides each
-    suite's primary case count when given."""
-    results = []
-    for name in names or ALL_SUITES:
-        fn = ALL_SUITES[name]
-        if cases is None:
-            results.append(fn(seed=seed))
-        else:
-            results.append(fn(seed=seed, **{_primary_arg(name): cases}))
-    return results
-
-
-def _primary_arg(name: str) -> str:
-    return {"counterexamples": "dsl_cases",
-            "dsl": "roundtrips"}.get(name, "cases")
+    suite's case count when given."""
+    kwargs = {} if cases is None else {"cases": cases}
+    return [ALL_SUITES[name](seed=seed, **kwargs)
+            for name in names or ALL_SUITES]

@@ -117,15 +117,6 @@ class SpectorSolution:
     def carrier_size(self) -> int:
         return len(self.witness)
 
-    def to_json(self, window: int = 8, p_args: tuple = (),
-                encode: Callable[[Any], Any] = lambda x: x) -> dict:
-        return {
-            "n": self.n,
-            "f_prefix": [encode(self.f(i)) for i in range(window)],
-            "p_samples": [encode(self.p(a)) for a in p_args],
-            "carrier_size": self.carrier_size(),
-        }
-
 
 def solve_spector(cp: ChoiceParams,
                   ctx: EvalContext | None = None) -> SpectorSolution:
@@ -182,26 +173,28 @@ def solve_symmetric(cp: ChoiceParams,
     return SpectorSolution(f=f, n=n, p=p, witness=v)
 
 
-def values_equal(a: Any, b: Any, window: int = 64) -> bool:
+_WINDOW = 64
+
+
+def values_equal(a: Any, b: Any) -> bool:
     """Equality of solution components.  Ground values compare exactly;
     function values (total sequences) compare on the observation window
-    ``0..window`` since extensional equality is not decidable."""
+    ``0.._WINDOW`` since extensional equality is not decidable."""
     if isinstance(a, InfSeq) and isinstance(b, InfSeq):
-        return a.prefix(window + 1) == b.prefix(window + 1)
+        return a.prefix(_WINDOW + 1) == b.prefix(_WINDOW + 1)
     if isinstance(a, InfSeq) or isinstance(b, InfSeq):
         return False
     return a == b
 
 
-def verify_equations(sol: SpectorSolution, cp: ChoiceParams,
-                     window: int = 64) -> bool:
+def verify_equations(sol: SpectorSolution, cp: ChoiceParams) -> bool:
     """Check the three equations by direct evaluation."""
     if cp.control(sol.f) != sol.n:
         return False
     selected = cp.eps(sol.n)(sol.p)
-    if not values_equal(sol.f(sol.n), selected, window):
+    if not values_equal(sol.f(sol.n), selected):
         return False
-    return values_equal(cp.q(sol.f), sol.p(selected), window)
+    return values_equal(cp.q(sol.f), sol.p(selected))
 
 
 def thread_prefix(cp: ChoiceParams, v: PartialFn, i: int,

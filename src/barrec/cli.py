@@ -25,13 +25,10 @@ import time
 
 from . import checks, hdsl
 from .context import DEFAULT_FUEL, EvalContext, FuelExhausted
-from .interdef import br_from_sbr, sbr_from_br
 from .noinjection import (BENCH_RANGES, FAMILIES, builtin_h, counterexample,
                           report_row, verify_counterexample)
 from .pfun import EMPTY, PartialFn, extend_hat
-from .recursors import br, sbr
 from .threads import trace_thread
-from . import gen
 
 CSV_COLUMNS = ("family", "n", "recursor", "mode", "domain_size", "calls",
                "i", "valid", "wall_ms")
@@ -77,6 +74,15 @@ class UsageError(ValueError):
 def _fuel_fallback() -> int:
     env = os.environ.get("BARREC_FUEL")
     return int(env) if env else DEFAULT_FUEL
+
+
+def _count(text: str) -> int:
+    """Argument type of ``--steps`` and ``--cases``: a non-negative
+    integer."""
+    if not text.isdigit():
+        raise argparse.ArgumentTypeError(
+            "wants a non-negative integer, got %r" % text)
+    return int(text)
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -127,15 +133,7 @@ def _rows_to_json(rows: list) -> str:
 def _run_cell(h, family, n, recursor, mode, fuel) -> dict:
     ctx = EvalContext(fuel=fuel, mode=mode)
     started = time.perf_counter()
-    try:
-        c = counterexample(h, recursor, ctx)
-    except FuelExhausted as exc:
-        return {"family": family, "n": n, "recursor": recursor,
-                "mode": mode, "domain_size": None,
-                "calls": exc.metrics.calls, "i": None,
-                "alpha_prefix": None, "beta_prefix": None, "valid": None,
-                "error": "fuel-exhausted",
-                "wall_ms": _ms(started)}
+    c = counterexample(h, recursor, ctx)
     valid = verify_counterexample(h, c)
     row = report_row(family, n, recursor, mode, c, valid)
     row["wall_ms"] = _ms(started)
@@ -150,11 +148,8 @@ def cmd_solve(args) -> int:
     family, n, h = _resolve_h(args)
     recursors = (("spector", "symmetric") if args.recursor == "both"
                  else (args.recursor,))
-    rows = []
-    for recursor in recursors:
-        rows.append(_run_cell(h, family, n, recursor, args.mode, args.fuel))
-        if rows[-1].get("error") == "fuel-exhausted":
-            return EXIT_FUEL
+    rows = [_run_cell(h, family, n, recursor, args.mode, args.fuel)
+            for recursor in recursors]
     _emit(_format_rows(rows, args.format), args.output)
     if not all(row["valid"] for row in rows):
         return EXIT_INVALID
@@ -168,11 +163,6 @@ def _format_rows(rows: list, fmt: str) -> str:
         return _rows_to_json(rows)
     lines = []
     for row in rows:
-        if row.get("error"):
-            lines.append("%s n=%s %s [%s]: fuel exhausted after %d calls"
-                         % (row["family"], row["n"], row["recursor"],
-                            row["mode"], row["calls"]))
-            continue
         lines.append(
             "%s n=%s %s [%s]: domain=%d calls=%d i=%d valid=%s"
             % (row["family"], row["n"], row["recursor"], row["mode"],
@@ -210,13 +200,28 @@ def cmd_bench(args) -> int:
             h = builtin_h(family, n)
             for recursor in recursors:
                 for mode in ("plain", "memoized"):
-                    rows.append(_run_cell(h, family, n, recursor, mode,
-                                          args.fuel))
+                    rows.append(_bench_cell(h, family, n, recursor, mode,
+                                            args.fuel))
     if args.format == "text":
         _emit(_bench_text(rows), args.output)
     else:
         _emit(_format_rows(rows, args.format), args.output)
     return EXIT_OK
+
+
+def _bench_cell(h, family, n, recursor, mode, fuel) -> dict:
+    """``_run_cell``, or on fuel exhaustion a row carrying the calls made
+    so far."""
+    started = time.perf_counter()
+    try:
+        return _run_cell(h, family, n, recursor, mode, fuel)
+    except FuelExhausted as exc:
+        return {"family": family, "n": n, "recursor": recursor,
+                "mode": mode, "domain_size": None,
+                "calls": exc.metrics.calls, "i": None,
+                "alpha_prefix": None, "beta_prefix": None, "valid": None,
+                "error": "fuel-exhausted",
+                "wall_ms": _ms(started)}
 
 
 def _bench_text(rows: list) -> str:
@@ -256,8 +261,7 @@ def _cell_text(row) -> str:
 
 
 def cmd_check(args) -> int:
-    names = args.suite if args.suite else list(checks.ALL_SUITES)
-    results = checks.run_suites(names, seed=args.seed, cases=args.cases)
+    results = checks.run_suites(args.suite, seed=args.seed, cases=args.cases)
     for res in results:
         print("%-16s passed=%-5d failed=%d"
               % (res.name, res.passed, res.failed))
@@ -297,23 +301,13 @@ def cmd_thread(args) -> int:
 
 
 def cmd_interdef_test(args) -> int:
-    rng_seed = args.seed
-    results = []
-    passed = failed = 0
-    rng = random.Random(rng_seed)
-    for case in range(args.cases):
-        params, s = gen.gen_br_instance(rng)
-        agree = br_from_sbr(params, s) == br(params, s)
-        results.append({"case": case, "direction": "sequential",
-                        "agree": agree})
-        sparams, u = gen.gen_sbr_instance(rng)
-        agree2 = sbr_from_br(sparams, u) == sbr(sparams, u)
-        results.append({"case": case, "direction": "symmetric",
-                        "agree": agree2})
-        passed += int(agree) + int(agree2)
-        failed += int(not agree) + int(not agree2)
-    report = {"seed": rng_seed, "cases": args.cases, "passed": passed,
-              "failed": failed, "results": results}
+    results = [{"case": case, "direction": direction, "agree": agree}
+               for case, direction, agree in checks.interdef_differential(
+                   random.Random(args.seed), args.cases)]
+    failed = sum(not r["agree"] for r in results)
+    report = {"seed": args.seed, "cases": args.cases,
+              "passed": len(results) - failed, "failed": failed,
+              "results": results}
     _emit(json.dumps(report, indent=2) + "\n", args.output)
     return EXIT_OK if failed == 0 else EXIT_INVALID
 
@@ -362,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="run seeded verification suites")
     p_check.add_argument("--suite", action="append",
                          choices=tuple(checks.ALL_SUITES))
-    p_check.add_argument("--cases", type=int, default=None)
+    p_check.add_argument("--cases", type=_count, default=None)
     p_check.add_argument("--seed", type=int, default=0)
     p_check.set_defaults(fn=cmd_check)
 
@@ -370,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_thread, with_h=True)
     p_thread.add_argument("--u", default=None,
                           help='partial function as JSON, e.g. {"1": 1}')
-    p_thread.add_argument("--steps", type=int, default=None)
+    p_thread.add_argument("--steps", type=_count, default=None)
     p_thread.add_argument("--total", action="store_true",
                           help="treat the input's extension as a total "
                                "sequence (always extends)")
@@ -379,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_inter = sub.add_parser("interdef-test",
                              help="translation differential suite")
-    p_inter.add_argument("--cases", type=int, default=200)
+    p_inter.add_argument("--cases", type=_count, default=200)
     p_inter.add_argument("--seed", type=int, default=0)
     p_inter.add_argument("--output", default=None)
     p_inter.set_defaults(fn=cmd_interdef_test)

@@ -78,7 +78,7 @@ def gen_body(rng: random.Random, sequential: bool) -> Callable[[Any], int]:
     def body(state: Any) -> int:
         if shape == 0:
             return len(state) + c
-        values = list(state) if sequential else [x for _, x in state.items()]
+        values = list(state) if sequential else [x for _, x in state.entries]
         if shape == 1:
             return sum(values) + c
         return (sum(values) + c) * 7 % 23 + len(state)
@@ -210,22 +210,17 @@ def gen_hexpr(rng: random.Random, depth: int = 3) -> hdsl.Expr:
     return _gen_dsl_expr(rng, (), depth)
 
 
-def gen_h_functional(rng: random.Random) -> Callable[[InfSeq], int]:
-    """A control functional defined by a random closed DSL term."""
-    return hdsl.as_functional(gen_hexpr(rng, depth=rng.randint(1, 3)))
-
-
-def gen_h_for_counterexample(rng: random.Random, cap: int = 48) -> tuple:
+def gen_h_for_counterexample(rng: random.Random) -> tuple:
     """A DSL-defined functional tame enough for collision extraction.
 
     The sequential solver's carrier length tracks the functional's value,
     so candidates are screened on a few probe sequences and rejected when
-    any value exceeds ``cap``.  Screening is part of the seeded stream,
+    any value exceeds 48.  Screening is part of the seeded stream,
     so the accepted instances are reproducible."""
     probes = (InfSeq.constant(1), InfSeq.constant(2),
               InfSeq(lambda i: 1 + i % 2))
     while True:
         e = gen_hexpr(rng, depth=rng.randint(1, 3))
         h = hdsl.as_functional(e)
-        if all(h(probe) <= cap for probe in probes):
+        if all(h(probe) <= 48 for probe in probes):
             return e, h

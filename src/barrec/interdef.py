@@ -104,7 +104,7 @@ def diag_finite(s: FiniteSeq) -> PartialFn:
     pairs = {}
     seen: set = set()
     for i, slot in enumerate(s):
-        for j, x in slot.snapshot.items():
+        for j, x in slot.snapshot.entries:
             if j >= i and j not in seen:
                 seen.add(j)
                 pairs[j] = x
@@ -124,6 +124,19 @@ def diag_infinite(alpha: InfSeq, default: Any) -> InfSeq:
     return InfSeq(at)
 
 
+def _restart(k: Callable[[YPair], Any], ds: PartialFn, pos: int,
+             zero_cont: Callable[[PartialFn, Any], Any]
+             ) -> Callable[[PartialFn, Any], Any]:
+    """The restart continuation of an unfilled position ``pos``: splice
+    the value ``x`` at ``pos`` and the later state ``v`` above it into
+    ``ds``, and hand the resulting slot to the sequential continuation
+    ``k``."""
+    def restart(v: PartialFn, x: Any) -> Any:
+        return k(YPair(ds.splice(pos, x, v), zero_cont))
+
+    return restart
+
+
 def _lift_staged(params: RecursorParams,
                  zero_cont: Callable[[PartialFn, Any], Any]
                  ) -> RecursorParams:
@@ -137,11 +150,7 @@ def _lift_staged(params: RecursorParams,
         ds = diag_finite(s)
         if ds.defined_at(n):
             return p(YPair(ds, zero_cont))
-
-        def restart(v: PartialFn, x: Any) -> Any:
-            return p(YPair(ds.splice(n, x, v), zero_cont))
-
-        return p(YPair(ds, restart))
+        return p(YPair(ds, _restart(p, ds, n, zero_cont)))
 
     def body(s: FiniteSeq) -> Any:
         ds = diag_finite(s)
@@ -194,26 +203,18 @@ def _build_stages(params: RecursorParams, decomp: list, ctx: EvalContext
             ds = diag_finite(FiniteSeq(slots))
             new_slots = list(slots)
             for pos in range(len(slots), n):
-                if ds.defined_at(pos):
-                    cont = zero_cont
-                else:
-                    cont = _make_restart(lifted, FiniteSeq(new_slots), ds,
-                                         pos, zero_cont, ctx)
+                cont = zero_cont
+                if not ds.defined_at(pos):
+                    def rerun(slot: YPair,
+                              built: FiniteSeq = FiniteSeq(new_slots)) -> Any:
+                        return br(lifted, built.append(slot), ctx)
+
+                    cont = _restart(rerun, ds, pos, zero_cont)
                 new_slots.append(YPair(ds, cont))
             new_slots.append(YPair(thread, zero_cont))
             slots = new_slots
         stages.append(FiniteSeq(slots))
     return lifted, stages
-
-
-def _make_restart(lifted: RecursorParams, built: FiniteSeq, ds: PartialFn,
-                  pos: int, zero_cont: Callable, ctx: EvalContext
-                  ) -> Callable[[PartialFn, Any], Any]:
-    def restart(v: PartialFn, x: Any) -> Any:
-        return br(lifted, built.append(YPair(ds.splice(pos, x, v),
-                                             zero_cont)), ctx)
-
-    return restart
 
 
 def theta_from_br(params: RecursorParams, u: PartialFn,

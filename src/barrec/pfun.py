@@ -68,9 +68,6 @@ class FiniteSeq:
         ``{0, ..., |s|-1}``."""
         return PartialFn(enumerate(self.items))
 
-    def to_json(self, encode: Callable[[Any], Any] = lambda x: x) -> list:
-        return [encode(x) for x in self.items]
-
 
 class PartialFn:
     """Immutable finite partial function from an index domain to values.
@@ -118,9 +115,6 @@ class PartialFn:
     def domain(self) -> tuple:
         return tuple(n for n, _ in self.entries)
 
-    def items(self) -> tuple:
-        return self.entries
-
     def max_index(self) -> Any:
         if not self.entries:
             raise ValueError("empty partial function has no maximal index")
@@ -149,10 +143,6 @@ class PartialFn:
         return all(other.defined_at(n) and other(n) == x
                    for n, x in self.entries)
 
-    def restrict_below(self, n: Any) -> "PartialFn":
-        """The restriction of ``u`` to indices strictly below ``n``."""
-        return PartialFn((m, x) for m, x in self.entries if m < n)
-
     def splice(self, n: Any, x: Any, above: "PartialFn") -> "PartialFn":
         """Three-way splice: ``self`` below ``n``, the value ``x`` at ``n``,
         and ``above`` strictly above ``n``."""
@@ -161,9 +151,9 @@ class PartialFn:
         pairs.extend((m, y) for m, y in above.entries if m > n)
         return PartialFn(pairs)
 
-    def to_json(self, encode: Callable[[Any], Any] = lambda x: x) -> dict:
+    def to_json(self) -> dict:
         """JSON object with stringified keys in increasing index order."""
-        return {str(n): encode(x) for n, x in self.entries}
+        return {str(n): x for n, x in self.entries}
 
 
 EMPTY = PartialFn()

@@ -18,8 +18,8 @@ charges one tick and evaluates the control once.
 ``sspec_witness`` locates that stopping point by its own bounded search,
 an independent reference for ``theta_bound``, and ``spec_witness``
 converts it into a stopping point for the sequential bar condition by
-running the same search over value/flag pairs under ``stubborn_control``,
-where the flag marks a position as filled.
+walking value/flag pairs under ``stubborn_control``, where the flag marks
+a position as filled.
 """
 
 from __future__ import annotations
@@ -41,9 +41,9 @@ class ThreadStep(NamedTuple):
     defined: bool
     value: Any = None
 
-    def to_json(self, encode: Callable[[Any], Any] = lambda x: x) -> dict:
+    def to_json(self) -> dict:
         return {"n": self.n, "defined": self.defined,
-                "value": encode(self.value) if self.defined else None}
+                "value": self.value if self.defined else None}
 
 
 class ThreadTrace(NamedTuple):
@@ -52,9 +52,9 @@ class ThreadTrace(NamedTuple):
     steps: tuple
     final: PartialFn
 
-    def to_json(self, encode: Callable[[Any], Any] = lambda x: x) -> dict:
-        return {"steps": [s.to_json(encode) for s in self.steps],
-                "final": self.final.to_json(encode)}
+    def to_json(self) -> dict:
+        return {"steps": [s.to_json() for s in self.steps],
+                "final": self.final.to_json()}
 
 
 def trace_thread(control: Control, source: "PartialFn | InfSeq",
@@ -134,11 +134,13 @@ def sspec_witness(control: Control, alpha: InfSeq, default: Any,
                   ctx: Optional[EvalContext] = None) -> int:
     """The least ``n`` such that the control, applied to the extension of
     the length-``n`` thread of ``alpha``, lands inside that thread's
-    domain.  Search is bounded by ``theta_bound``."""
+    domain.  Search is bounded by ``theta_bound``; each candidate's
+    control evaluation charges one tick."""
     ctx = ctx or EvalContext()
     bound = theta_bound(control, alpha, default, ctx)
     for n in range(bound + 1):
         t = thread_of_total(control, alpha, n, default, ctx)
+        ctx.tick()
         if t.defined_at(control(extend_hat(t, default))):
             return n
     raise AssertionError("stopping point escaped its own bound")
@@ -164,7 +166,8 @@ def spec_witness(control: Control, alpha: InfSeq, default: Any,
 
     The search lifts values to value/flag pairs whose flag marks a filled
     position, and drives the thread construction with the stubborn
-    control."""
+    control.  The source is total, so the least stopping point of that
+    walk is its length: ``theta_bound``."""
     tagged_alpha = InfSeq(lambda k: (alpha(k), 1))
-    return sspec_witness(stubborn_control(control), tagged_alpha,
-                         (default, 0), ctx)
+    return theta_bound(stubborn_control(control), tagged_alpha,
+                       (default, 0), ctx)

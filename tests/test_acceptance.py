@@ -103,7 +103,7 @@ def test_criterion_5_indexwise_equations():
 
 def test_criterion_6_interdefinability_suite():
     started = time.monotonic()
-    res = checks.suite_interdef(seed=0, cases=200, thread_cases=100)
+    res = checks.suite_interdef(seed=0, cases=200)
     elapsed = time.monotonic() - started
     ok = res.ok and elapsed < 300.0
     report(6, ok, "200 differential cases per direction plus 100 staged "
@@ -117,12 +117,12 @@ def test_criterion_7_thread_laws():
 
 
 def test_criterion_8_counterexample_validity():
-    res = checks.suite_counterexamples(seed=0, dsl_cases=100)
+    res = checks.suite_counterexamples(seed=0, cases=100)
     report(8, res.ok, "collision validity for built-ins and 100 DSL "
                       "functionals, both recursors (%d checks)" % res.passed)
 
 
 def test_criterion_9_dsl_conformance():
-    res = checks.suite_dsl(seed=0, gammas=100, roundtrips=200)
+    res = checks.suite_dsl(seed=0, cases=200)
     report(9, res.ok, "DSL agreement with built-ins and 200 printer "
                       "round-trips (%d checks)" % res.passed)

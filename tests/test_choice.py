@@ -107,13 +107,3 @@ def test_values_equal_on_functions_uses_window():
     assert not values_equal(a, c)
     assert values_equal(3, 3) and not values_equal(3, 4)
     assert not values_equal(a, 3)
-
-
-def test_solution_serialisation():
-    cp = constant_control_params()
-    sol = solve_spector(cp, EvalContext())
-    data = sol.to_json(window=3, p_args=(0, 1))
-    assert data["n"] == 0
-    assert len(data["f_prefix"]) == 3
-    assert len(data["p_samples"]) == 2
-    assert data["carrier_size"] == 1

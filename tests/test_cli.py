@@ -39,7 +39,10 @@ def test_solve_parse_error_exit_2(capsys):
 
 def test_solve_fuel_exit_3(capsys):
     rc = cli.main(["solve", "--builtin", "prod:6", "--fuel", "5"])
+    captured = capsys.readouterr()
     assert rc == 3
+    assert captured.err == "error: fuel exhausted\n"
+    assert captured.out == ""
 
 
 def test_solve_csv_schema(tmp_path, capsys):
@@ -143,6 +146,20 @@ def test_thread_non_integer_index_exit_2(capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error: --u") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["thread", "--builtin", "prod:3", "--steps", "-4"],
+    ["check", "--cases", "-3"],
+    ["interdef-test", "--cases", "-2"],
+])
+def test_negative_count_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "non-negative integer" in captured.err
 
 
 @pytest.mark.parametrize("suite", list(checks.ALL_SUITES))

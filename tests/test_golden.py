@@ -1,0 +1,43 @@
+"""Guard against drift from the benchmark's golden table.
+
+The benchmark checks every cell's output against ``perfbench/golden.json``.
+This test reads that file (it imports nothing from ``perfbench/``) and
+runs three of its cells in-process, so a change in suite counts, call
+counts or the generators' random stream fails here rather than only as
+``correct: false`` in a benchmark run.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from barrec import cli
+
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text())["cells"]
+
+
+def test_check_seed0_suite_counts(golden, capsys):
+    assert cli.main(["check", "--seed", "0", "--cases", "150"]) == 0
+    seen = {}
+    for line in capsys.readouterr().out.splitlines():
+        name, passed, failed = line.split()
+        seen[name] = [int(passed.split("=")[1]), int(failed.split("=")[1])]
+    assert seen == golden["check:seed0:cases150"]
+
+
+@pytest.mark.parametrize("recursor,family,n", [
+    ("spector", "leastinc", 30),
+    ("symmetric", "contrived", 200),
+])
+def test_bench_rows(recursor, family, n, golden, capsys):
+    assert cli.main(["bench", "--recursor", recursor, "--family", family,
+                     "--n", str(n), "--format", "json"]) == 0
+    rows = [[r["mode"], r["domain_size"], r["i"], r["calls"], r["valid"]]
+            for r in json.loads(capsys.readouterr().out)]
+    assert rows == golden["bench:%s:%s:%d" % (recursor, family, n)]

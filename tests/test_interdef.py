@@ -111,6 +111,21 @@ def test_theta_from_br_differential_on_threads():
     assert theta_from_br(params, EMPTY) == theta(params, EMPTY)
 
 
+def test_theta_from_br_resumes_through_a_staged_restart():
+    # The thread {2: 5} stages restart slots at positions 0 and 1; the
+    # control then names 0, so the step probes both values through the
+    # restart slot at position 0.
+    params = RecursorParams(step=lambda u, n, p: p(1) + 10 * p(2),
+                            body=lambda v: sum(x for _, x in v.entries),
+                            control=lambda a: 0 if a(2) > 0 else 2,
+                            default=0, default_result=-1)
+    u = PartialFn.single(2, 5)
+    stages = carrier_stages(params, u)
+    assert len(stages[-1]) == 3
+    assert theta(params, u) == 6 + 10 * 7
+    assert theta_from_br(params, u) == theta(params, u)
+
+
 def test_stage_read_back_and_lengths():
     rng = random.Random(7)
     for _ in range(100):

@@ -112,11 +112,6 @@ def test_splice():
     assert spliced == PartialFn(((0, "a"), (2, "m"), (4, "y"), (9, "z")))
 
 
-def test_restrict_below():
-    u = PartialFn(((0, 1), (3, 2), (7, 5)))
-    assert u.restrict_below(3) == PartialFn.single(0, 1)
-
-
 def test_duplicate_indices_rejected():
     with pytest.raises(ValueError):
         PartialFn(((1, 2), (1, 3)))
@@ -145,7 +140,6 @@ def test_infseq_uncached_and_constant():
 def test_json_forms():
     u = PartialFn(((2, 9), (0, 4)))
     assert json.dumps(u.to_json()) == '{"0": 4, "2": 9}'
-    assert FiniteSeq((1, 2)).to_json() == [1, 2]
 
 
 def test_bounded_search():

@@ -165,6 +165,8 @@ def test_one_tick_per_control_evaluation():
                 lambda f, ctx: theta_bound(f, alpha, 0, ctx),
                 lambda f, ctx: trace_thread(f, thread, None, 0, ctx),
                 lambda f, ctx: trace_thread(f, alpha, None, 0, ctx),
+                lambda f, ctx: sspec_witness(f, alpha, 0, ctx),
+                lambda f, ctx: spec_witness(f, alpha, 0, ctx),
             )
             for run in runs:
                 counted, calls = counting(c)
