@@ -334,7 +334,10 @@ ALL_SUITES = {
 
 def run_suites(names=None, seed: int = 0, cases: int | None = None) -> list:
     """Run the named suites (all by default); ``cases`` overrides each
-    suite's case count when given."""
+    suite's count of generated cases when given.  It does not bound the
+    fixed part of a suite: every built-in family over its ``BENCH_RANGES``
+    in ``spector`` and ``counterexamples``, 100 staged thread cases in
+    ``interdef`` and 100 sequences per family in ``dsl``."""
     kwargs = {} if cases is None else {"cases": cases}
     return [ALL_SUITES[name](seed=seed, **kwargs)
             for name in names or ALL_SUITES]

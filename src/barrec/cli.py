@@ -6,10 +6,11 @@ runs the seeded verification suites, ``thread`` prints a step-by-step
 thread construction, and ``interdef-test`` runs the translation
 differential suite.
 
-Exit codes: 0 success, 2 malformed input (a DSL syntax error or a bad
-argument value), 3 fuel exhausted, 4 failed verification.  CSV and JSON
-output is byte-deterministic for a fixed configuration except for the
-``wall_ms`` field.
+Exit codes: 0 success, 2 malformed input (a DSL syntax error, a DSL term
+nested too deeply, a bad argument value or an unwritable ``--output``),
+3 fuel exhausted, 4 failed verification.  CSV and JSON output is
+byte-deterministic for a fixed configuration except for the ``wall_ms``
+field.
 """
 
 from __future__ import annotations
@@ -87,8 +88,11 @@ def _count(text: str) -> int:
 
 def _emit(text: str, output: str | None) -> None:
     if output:
-        with open(output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError("--output: %s" % exc) from None
     else:
         sys.stdout.write(text)
 
@@ -356,7 +360,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="run seeded verification suites")
     p_check.add_argument("--suite", action="append",
                          choices=tuple(checks.ALL_SUITES))
-    p_check.add_argument("--cases", type=_count, default=None)
+    p_check.add_argument("--cases", type=_count, default=None,
+                         help="generated cases per suite; fixed work runs "
+                              "regardless: every built-in family over its "
+                              "bench range in spector and counterexamples, "
+                              "100 staged thread cases in interdef, 100 "
+                              "sequences per family in dsl")
     p_check.add_argument("--seed", type=int, default=0)
     p_check.set_defaults(fn=cmd_check)
 

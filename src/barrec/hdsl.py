@@ -22,7 +22,8 @@ precedence level.  Subtraction is truncated at zero, ``0 ^ 0 = 1``, and
 are inclusive with the ``else`` branch taken when no index satisfies the
 condition.  There is no recursion and no unbounded search, so every
 closed term denotes a total functional that inspects ``gamma`` at
-finitely many points per evaluation.
+finitely many points per evaluation.  ``parse`` refuses terms nested more
+than ``MAX_DEPTH`` levels deep.
 """
 
 from __future__ import annotations
@@ -157,6 +158,27 @@ _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([a-z][a-z0-9]*)|(<=|!=|[-+*^():<=]))")
 _ATOM_HEADS = ("NAT", "IDENT", "g", "(", "prod", "sum", "least", "greatest",
                "if")
 
+# Binary operators by precedence, loosest first.
+_BINARY = (("+", "-"), ("*",), ("^",))
+_PREC = {op: prec for prec, ops in enumerate(_BINARY) for op in ops}
+
+# Atoms that extend as far to the right as they can.  As an operand of a
+# binary operator or a comparison the printer puts them in parentheses.
+_GREEDY = (Prod, Sum, Least, Greatest, If)
+_GREEDY_HEADS = ("prod", "sum", "least", "greatest", "if")
+
+# The deepest nesting ``parse`` accepts.  Each atom (a parenthesised term
+# included) and each ``not`` is one level, and a greedy atom that is an
+# operand without parentheses is one more, for the parentheses the
+# printer adds; so every term ``parse`` accepts prints within the bound.
+# Operator and connective chains are no deeper than their operands: they
+# are parsed, evaluated and printed in loops.  The costliest construct is
+# a parenthesised ``if`` in the condition of the next, eleven parser
+# frames for its two levels, so a term at the bound parses within the
+# default recursion limit of 1,000; evaluating or printing it takes fewer
+# frames per level.
+MAX_DEPTH = 100
+
 
 def _tokenize(text: str) -> list:
     tokens = []
@@ -187,6 +209,8 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        # Levels open above the current token.
+        self.depth = 0
 
     def peek(self) -> tuple:
         return self.tokens[self.pos]
@@ -206,25 +230,31 @@ class _Parser:
         tok = self.peek()
         return ParseError(tok[2], expected, tok[1] or "end of input")
 
-    def parse_expr(self, scope: frozenset) -> Expr:
-        left = self.parse_term(scope)
-        while self.peek()[0] in ("+", "-"):
+    def enter(self, levels: int = 1) -> None:
+        """Open ``levels`` levels; past ``MAX_DEPTH`` that is a
+        ``ParseError`` at the current token."""
+        self.depth += levels
+        if self.depth > MAX_DEPTH:
+            raise self.error(("nesting at most %d deep" % MAX_DEPTH,))
+
+    def parse_expr(self, scope: frozenset, prec: int = 0,
+                   operand: bool = False) -> Expr:
+        """A left-nested chain of the operators ``_BINARY[prec]`` over
+        operands of the next tighter precedence; past the tightest, an
+        atom one level below the open ones.  If the term is an
+        ``operand`` of a binary operator or a comparison and the atom at
+        its head is greedy, the atom costs a level more, for the
+        parentheses the printer puts around it."""
+        if prec == len(_BINARY):
+            levels = 1 + (operand and self.peek()[0] in _GREEDY_HEADS)
+            self.enter(levels)
+            atom = self.parse_atom(scope)
+            self.depth -= levels
+            return atom
+        left = self.parse_expr(scope, prec + 1, operand)
+        while self.peek()[0] in _BINARY[prec]:
             op = self.advance()[0]
-            left = BinOp(op, left, self.parse_term(scope))
-        return left
-
-    def parse_term(self, scope: frozenset) -> Expr:
-        left = self.parse_factor(scope)
-        while self.peek()[0] == "*":
-            self.advance()
-            left = BinOp("*", left, self.parse_factor(scope))
-        return left
-
-    def parse_factor(self, scope: frozenset) -> Expr:
-        left = self.parse_atom(scope)
-        while self.peek()[0] == "^":
-            self.advance()
-            left = BinOp("^", left, self.parse_atom(scope))
+            left = BinOp(op, left, self.parse_expr(scope, prec + 1, True))
         return left
 
     def parse_binder_head(self, relation: str) -> tuple:
@@ -283,7 +313,10 @@ class _Parser:
     def parse_cond(self, scope: frozenset) -> Cond:
         if self.peek()[0] == "not":
             self.advance()
-            return Not(self.parse_cond(scope))
+            self.enter()
+            cond = self.parse_cond(scope)
+            self.depth -= 1
+            return Not(cond)
         left: Cond = self.parse_ccmp(scope)
         while self.peek()[0] in ("and", "or"):
             op = self.advance()[0]
@@ -292,21 +325,26 @@ class _Parser:
         return left
 
     def parse_ccmp(self, scope: frozenset) -> Cond:
-        left = self.parse_expr(scope)
+        left = self.parse_expr(scope, operand=True)
         kind = self.peek()[0]
         if kind not in ("<", "<=", "=", "!="):
             raise self.error(("<", "<=", "=", "!="))
         self.advance()
-        return Cmp(kind, left, self.parse_expr(scope))
+        return Cmp(kind, left, self.parse_expr(scope, operand=True))
 
 
 def parse(text: str) -> Expr:
-    """Parse a closed term; raise ``ParseError`` on bad syntax and
-    ``UnboundVariable`` on a variable with no enclosing binder."""
+    """Parse a closed term; raise ``ParseError`` on bad syntax or nesting
+    deeper than ``MAX_DEPTH``, and ``UnboundVariable`` on a variable with
+    no enclosing binder."""
     p = _Parser(text)
     e = p.parse_expr(frozenset())
     p.expect("EOF")
     return e
+
+
+_ARITH = {"+": lambda a, b: a + b, "-": lambda a, b: a - b if a > b else 0,
+          "*": lambda a, b: a * b, "^": lambda a, b: a ** b}
 
 
 def eval_expr(e: Expr, gamma: InfSeq, env: dict | None = None) -> int:
@@ -320,15 +358,14 @@ def eval_expr(e: Expr, gamma: InfSeq, env: dict | None = None) -> int:
     if isinstance(e, Gamma):
         return gamma(eval_expr(e.arg, gamma, env))
     if isinstance(e, BinOp):
-        left = eval_expr(e.left, gamma, env)
-        right = eval_expr(e.right, gamma, env)
-        if e.op == "+":
-            return left + right
-        if e.op == "-":
-            return left - right if left > right else 0
-        if e.op == "*":
-            return left * right
-        return left ** right
+        # A lone operator, the common case, is evaluated here directly;
+        # a chain below it is folded in a loop.
+        left = e.left
+        if isinstance(left, BinOp):
+            left = _fold(left, gamma, env)
+        else:
+            left = eval_expr(left, gamma, env)
+        return _ARITH[e.op](left, eval_expr(e.right, gamma, env))
     if isinstance(e, (Prod, Sum)):
         bound = eval_expr(e.bound, gamma, env)
         acc = 1 if isinstance(e, Prod) else 0
@@ -350,19 +387,46 @@ def eval_expr(e: Expr, gamma: InfSeq, env: dict | None = None) -> int:
     raise TypeError("not an expression node: %r" % (e,))
 
 
+def _fold(e: BinOp, gamma: InfSeq, env: dict) -> int:
+    """The value of a left-nested operator chain, folded in a loop so that
+    the chain's length costs no stack."""
+    spine = []
+    while isinstance(e, BinOp):
+        spine.append(e)
+        e = e.left
+    acc = eval_expr(e, gamma, env)
+    for node in reversed(spine):
+        acc = _ARITH[node.op](acc, eval_expr(node.right, gamma, env))
+    return acc
+
+
 def eval_cond(c: Cond, gamma: InfSeq, env: dict) -> bool:
     if isinstance(c, Cmp):
         left = eval_expr(c.left, gamma, env)
         right = eval_expr(c.right, gamma, env)
         return {"<": left < right, "<=": left <= right,
                 "=": left == right, "!=": left != right}[c.op]
-    if isinstance(c, And):
-        return eval_cond(c.left, gamma, env) and eval_cond(c.right, gamma, env)
-    if isinstance(c, Or):
-        return eval_cond(c.left, gamma, env) or eval_cond(c.right, gamma, env)
+    if isinstance(c, (And, Or)):
+        return _fold_cond(c, gamma, env)
     if isinstance(c, Not):
         return not eval_cond(c.cond, gamma, env)
     raise TypeError("not a condition node: %r" % (c,))
+
+
+def _fold_cond(c: Cond, gamma: InfSeq, env: dict) -> bool:
+    """The value of a left-nested ``and``/``or`` chain, folded in a loop
+    like an operator chain."""
+    spine = []
+    while isinstance(c, (And, Or)):
+        spine.append(c)
+        c = c.left
+    acc = eval_cond(c, gamma, env)
+    for node in reversed(spine):
+        # The right side decides only after a true left side under
+        # ``and`` and after a false one under ``or``.
+        if acc == isinstance(node, And):
+            acc = eval_cond(node.right, gamma, env)
+    return acc
 
 
 def as_functional(e: Expr) -> Callable[[InfSeq], int]:
@@ -370,11 +434,13 @@ def as_functional(e: Expr) -> Callable[[InfSeq], int]:
     return lambda gamma: eval_expr(e, gamma)
 
 
-def _atomized(e: Expr) -> str:
+def _operand(e: Expr, prec: int) -> str:
+    """``e`` as an operand at precedence ``prec``: in parentheses if it is
+    greedy or a chain of looser operators."""
     text = to_text(e)
-    if isinstance(e, (Nat, Var, Gamma)):
-        return text
-    return "(%s)" % text
+    if isinstance(e, _GREEDY) or isinstance(e, BinOp) and _PREC[e.op] < prec:
+        return "(%s)" % text
+    return text
 
 
 def to_text(e: Expr) -> str:
@@ -387,7 +453,15 @@ def to_text(e: Expr) -> str:
     if isinstance(e, Gamma):
         return "g(%s)" % to_text(e.arg)
     if isinstance(e, BinOp):
-        return "%s %s %s" % (_atomized(e.left), e.op, _atomized(e.right))
+        # The left spine of operators at least as tight is printed in a
+        # loop, without parentheses, so a chain's length costs no stack.
+        tail = []
+        prec = _PREC[e.op]
+        while isinstance(e, BinOp) and _PREC[e.op] >= prec:
+            prec = _PREC[e.op]
+            tail.append(" %s %s" % (e.op, _operand(e.right, prec + 1)))
+            e = e.left
+        return _operand(e, prec) + "".join(reversed(tail))
     if isinstance(e, (Prod, Sum)):
         word = "prod" if isinstance(e, Prod) else "sum"
         return "%s %s < %s : %s" % (word, e.var, to_text(e.bound),
@@ -396,10 +470,10 @@ def to_text(e: Expr) -> str:
         word = "least" if isinstance(e, Least) else "greatest"
         return "%s %s <= %s st %s else %s" % (
             word, e.var, to_text(e.bound), cond_to_text(e.cond),
-            _atomized(e.orelse))
+            to_text(e.orelse))
     if isinstance(e, If):
         return "if %s then %s else %s" % (
-            cond_to_text(e.cond), _atomized(e.then), _atomized(e.orelse))
+            cond_to_text(e.cond), to_text(e.then), to_text(e.orelse))
     raise TypeError("not an expression node: %r" % (e,))
 
 
@@ -409,11 +483,16 @@ def cond_to_text(c: Cond) -> str:
     if isinstance(c, Not):
         return "not %s" % cond_to_text(c.cond)
     if isinstance(c, Cmp):
-        return "%s %s %s" % (_atomized(c.left), c.op, _atomized(c.right))
+        return "%s %s %s" % (_operand(c.left, 0), c.op, _operand(c.right, 0))
     if isinstance(c, (And, Or)):
-        if isinstance(c.right, (And, Or, Not)):
-            raise ValueError("condition is not grammar-derivable: %r" % (c,))
-        word = "and" if isinstance(c, And) else "or"
-        return "%s %s %s" % (cond_to_text(c.left), word,
-                             cond_to_text(c.right))
+        # Printed in a loop along the left spine, like an operator chain.
+        tail = []
+        while isinstance(c, (And, Or)):
+            if isinstance(c.right, (And, Or, Not)):
+                raise ValueError(
+                    "condition is not grammar-derivable: %r" % (c,))
+            word = "and" if isinstance(c, And) else "or"
+            tail.append(" %s %s" % (word, cond_to_text(c.right)))
+            c = c.left
+        return cond_to_text(c) + "".join(reversed(tail))
     raise TypeError("not a condition node: %r" % (c,))

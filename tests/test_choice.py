@@ -1,6 +1,9 @@
 """The two equation solvers and their verification."""
 
 import random
+from dataclasses import replace
+
+import pytest
 
 from barrec import gen
 from barrec.choice import (ChoiceParams, SpectorSolution, phi_spector,
@@ -9,7 +12,10 @@ from barrec.choice import (ChoiceParams, SpectorSolution, phi_spector,
                            verify_equations)
 from barrec.context import EvalContext
 from barrec.interdef import br_from_sbr, sbr_from_br
+from barrec.noinjection import (BENCH_RANGES, FAMILIES, builtin_h,
+                                make_choice_params)
 from barrec.pfun import EMPTY, EMPTY_SEQ, FiniteSeq, InfSeq, PartialFn
+from barrec.recursors import br, sbr
 from barrec.threads import is_thread, thread_of_partial
 
 
@@ -69,6 +75,46 @@ def test_carriers_agree_across_engines():
             psi_symmetric(cp, EMPTY, EvalContext())
         assert br_from_sbr(spector_params(cp), EMPTY_SEQ) == \
             phi_spector(cp, EMPTY_SEQ, EvalContext())
+
+
+def _children_extend_their_states(cp):
+    """Run ``br``, ``sbr`` and ``sbr_from_br`` under the choice parameters
+    with every continuation wrapped, and check that each child carrier
+    ``p(x)`` extends the state updated at the filled index with ``x``.
+    On exactly this ground the step's combine of state and child always
+    returns the child.  Returns the number of children checked."""
+    seen = []
+
+    def recording(params):
+        def step(state, n, p):
+            def child(x):
+                c = p(x)
+                seen.append((state, n, x, c))
+                return c
+            return params.step(state, n, child)
+        return replace(params, step=step)
+
+    br(recording(spector_params(cp)), EMPTY_SEQ, EvalContext())
+    sbr(recording(symmetric_params(cp)), EMPTY, EvalContext())
+    sbr_from_br(recording(symmetric_params(cp)), EMPTY)
+    for state, n, x, c in seen:
+        if isinstance(state, FiniteSeq):
+            assert c.items[:n + 1] == state.append(x).items
+        else:
+            assert state.update(n, x).leq(c)
+    return len(seen)
+
+
+def test_child_carrier_extends_state_on_generated_instances():
+    rng = random.Random(45)
+    assert sum(_children_extend_their_states(gen.gen_choice_instance(rng))
+               for _ in range(200)) > 0
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_child_carrier_extends_state_on_builtin_instances(family):
+    cp = make_choice_params(builtin_h(family, BENCH_RANGES[family][0]))
+    assert _children_extend_their_states(cp) > 0
 
 
 def test_carrier_is_thread_and_rerooting_is_stable():

@@ -37,6 +37,26 @@ def test_solve_parse_error_exit_2(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("h", [
+    "(" * 300 + "1" + ")" * 300,
+    "if " + "not " * 2000 + "1 < 0 then 1 else 0",
+], ids=["parentheses", "not"])
+def test_solve_deeply_nested_dsl_exit_2(h, capsys):
+    assert cli.main(["solve", "--h", h]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("h", [
+    "+".join("g(%d)" % i for i in range(101)),
+    "-".join(["1"] * 50000),
+], ids=["101-terms", "50000-terms"])
+def test_solve_long_operator_chain(h, capsys):
+    assert cli.main(["solve", "--h", h, "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert [r["valid"] for r in rows] == [True, True]
+
+
 def test_solve_fuel_exit_3(capsys):
     rc = cli.main(["solve", "--builtin", "prod:6", "--fuel", "5"])
     captured = capsys.readouterr()
@@ -197,6 +217,15 @@ def test_interdef_test_subcommand(tmp_path):
     data = json.loads(p.read_text())
     assert data["passed"] == 20 and data["failed"] == 0
     assert len(data["results"]) == 20
+
+
+def test_unwritable_output_exit_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    assert cli.main(["interdef-test", "--cases", "1",
+                     "--output", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --output: ") and err.count("\n") == 1
+    assert not target.exists()
 
 
 def test_failed_verification_exit_4(monkeypatch, capsys):

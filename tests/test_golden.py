@@ -2,7 +2,7 @@
 
 The benchmark checks every cell's output against ``perfbench/golden.json``.
 This test reads that file (it imports nothing from ``perfbench/``) and
-runs three of its cells in-process, so a change in suite counts, call
+runs four of its cells in-process, so a change in suite counts, call
 counts or the generators' random stream fails here rather than only as
 ``correct: false`` in a benchmark run.
 """
@@ -33,6 +33,7 @@ def test_check_seed0_suite_counts(golden, capsys):
 
 @pytest.mark.parametrize("recursor,family,n", [
     ("spector", "leastinc", 30),
+    ("spector", "prod", 10),
     ("symmetric", "contrived", 200),
 ])
 def test_bench_rows(recursor, family, n, golden, capsys):

@@ -1,14 +1,15 @@
 """Parser, evaluator, and printer of the control DSL."""
 
 import random
+import sys
 
 import pytest
 
 from barrec import gen
-from barrec.hdsl import (And, BinOp, Cmp, Gamma, Greatest, If, Least, Nat,
-                         Not, Or, ParseError, Prod, Sum, UnboundVariable,
-                         Var, as_functional, cond_to_text, eval_expr, parse,
-                         to_text)
+from barrec.hdsl import (MAX_DEPTH, And, BinOp, Cmp, Gamma, Greatest, If,
+                         Least, Nat, Not, Or, ParseError, Prod, Sum,
+                         UnboundVariable, Var, as_functional, cond_to_text,
+                         eval_expr, parse, to_text)
 from barrec.noinjection import builtin_dsl, builtin_h
 from barrec.pfun import InfSeq, PartialFn, extend_hat
 
@@ -36,6 +37,70 @@ def test_parse_error_missing_bound():
 def test_parse_error_trailing_garbage():
     with pytest.raises(ParseError):
         parse("1 + 2 )")
+
+
+def _nested_ifs(levels, parenthesised=True):
+    """A term exactly ``levels`` levels deep (``levels`` even): ifs, each
+    in the condition of the next, around a numeral.  An inner ``if`` is
+    two levels: its parentheses, or without them the parentheses the
+    printer adds, and itself."""
+    inner = "(%s)" if parenthesised else "%s"
+    text = "if 1 < 1 then 1 else 0"
+    for _ in range(levels // 2 - 1):
+        text = "if %s < 1 then 1 else 0" % (inner % text)
+    return text
+
+
+@pytest.mark.parametrize("deepest,deeper", [
+    (_nested_ifs(MAX_DEPTH), "(%s)" % _nested_ifs(MAX_DEPTH)),
+    (_nested_ifs(MAX_DEPTH, False), "(%s)" % _nested_ifs(MAX_DEPTH, False)),
+    ("(" * (MAX_DEPTH - 1) + "1" + ")" * (MAX_DEPTH - 1),
+     "(" * MAX_DEPTH + "1" + ")" * MAX_DEPTH),
+    ("1 + if 1 < 1 then 1 else " * (MAX_DEPTH // 2 - 1) + "(1)",
+     "1 + if 1 < 1 then 1 else " * (MAX_DEPTH // 2) + "1"),
+], ids=["if-in-condition", "bare-if-in-condition", "parentheses",
+        "if-as-operand"])
+def test_deepest_term_parses_prints_and_round_trips(deepest, deeper):
+    # The parenthesised if in a condition is the costliest construct per
+    # level; all of these run within the default recursion limit.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        e = parse(deepest)
+        assert eval_expr(e, InfSeq.constant(0)) in (0, 1, MAX_DEPTH // 2)
+        assert parse(to_text(e)) == e
+        with pytest.raises(ParseError) as exc:
+            parse(deeper)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert "nesting at most %d deep" % MAX_DEPTH in str(exc.value)
+
+
+def test_chains_cost_no_nesting():
+    flat = " + ".join("g(%d)" % i for i in range(MAX_DEPTH + 1))
+    e = parse(flat)
+    assert eval_expr(e, InfSeq(lambda i: i)) == MAX_DEPTH * (MAX_DEPTH + 1) // 2
+    assert to_text(e) == flat and parse(to_text(e)) == e
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        long_sum = " + ".join(["1"] * 50000)
+        assert to_text(parse(long_sum)) == long_sum
+        assert eval_expr(parse(long_sum), InfSeq.constant(0)) == 50000
+        conds = " and ".join("g(%d) < 5" % i for i in range(20000))
+        cond_term = "if %s or 1 < 0 then 1 else 0" % conds
+        assert to_text(parse(cond_term)) == cond_term
+        assert eval_expr(parse(cond_term), InfSeq.constant(0)) == 1
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_printer_parenthesises_only_where_needed():
+    for text in ("1 + 2 * 3 - 4", "(1 + 2) * 3", "2 ^ (3 ^ 2)", "7 - (2 - 1)",
+                 "1 + (if 1 < 0 then 2 else 3)", "(sum i < 2 : i) + 1",
+                 "if g(0) + 1 < (least i <= 2 st i = 1 else 0) then 1 "
+                 "else if 0 < 1 then 2 else 3"):
+        assert to_text(parse(text)) == text
 
 
 def test_unbound_variable():
