@@ -8,9 +8,11 @@ differential suite.
 
 Exit codes: 0 success, 2 malformed input (a DSL syntax error, a DSL term
 nested too deeply, a bad argument value or an unwritable ``--output``),
-3 fuel exhausted, 4 failed verification.  CSV and JSON output is
-byte-deterministic for a fixed configuration except for the ``wall_ms``
-field.
+3 fuel exhausted, 4 failed verification, 5 recursion too deep (the
+sequential solver recurses once per carrier slot, so a control with
+values in the thousands outgrows the interpreter's recursion limit).
+CSV and JSON output is byte-deterministic for a fixed configuration
+except for the ``wall_ms`` field.
 """
 
 from __future__ import annotations
@@ -66,6 +68,7 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_FUEL = 3
 EXIT_INVALID = 4
+EXIT_DEPTH = 5
 
 
 class UsageError(ValueError):
@@ -400,6 +403,9 @@ def main(argv=None) -> int:
     except FuelExhausted:
         sys.stderr.write("error: fuel exhausted\n")
         return EXIT_FUEL
+    except RecursionError:
+        sys.stderr.write("error: recursion too deep\n")
+        return EXIT_DEPTH
 
 
 if __name__ == "__main__":

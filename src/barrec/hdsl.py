@@ -24,10 +24,17 @@ condition.  There is no recursion and no unbounded search, so every
 closed term denotes a total functional that inspects ``gamma`` at
 finitely many points per evaluation.  ``parse`` refuses terms nested more
 than ``MAX_DEPTH`` levels deep.
+
+``as_functional`` compiles a term once into nested closures, with each
+binder variable in a slot fixed at compile time, so evaluating it walks
+no syntax tree.  Operator and ``and``/``or`` chains compile to one
+closure that folds them in a loop, so a chain of any length costs no
+stack.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from typing import Callable
@@ -172,11 +179,11 @@ _GREEDY_HEADS = ("prod", "sum", "least", "greatest", "if")
 # operand without parentheses is one more, for the parentheses the
 # printer adds; so every term ``parse`` accepts prints within the bound.
 # Operator and connective chains are no deeper than their operands: they
-# are parsed, evaluated and printed in loops.  The costliest construct is
-# a parenthesised ``if`` in the condition of the next, eleven parser
-# frames for its two levels, so a term at the bound parses within the
-# default recursion limit of 1,000; evaluating or printing it takes fewer
-# frames per level.
+# are parsed, compiled, evaluated and printed in loops.  The costliest
+# construct is a parenthesised ``if`` in the condition of the next, eleven
+# parser frames for its two levels, so a term at the bound parses within
+# the default recursion limit of 1,000.  Compiling or evaluating a term
+# takes at most two frames per level, and printing it fewer than parsing.
 MAX_DEPTH = 100
 
 
@@ -343,95 +350,144 @@ def parse(text: str) -> Expr:
     return e
 
 
-_ARITH = {"+": lambda a, b: a + b, "-": lambda a, b: a - b if a > b else 0,
-          "*": lambda a, b: a * b, "^": lambda a, b: a ** b}
+_ARITH = {"+": operator.add, "-": lambda a, b: a - b if a > b else 0,
+          "*": operator.mul, "^": operator.pow}
+_CMP = {"<": operator.lt, "<=": operator.le, "=": operator.eq,
+        "!=": operator.ne}
 
 
-def eval_expr(e: Expr, gamma: InfSeq, env: dict | None = None) -> int:
-    """Evaluate a term against the sequence ``gamma``.  Total on closed
-    terms; subtraction truncates at zero."""
-    env = env or {}
+def _spine(e, kinds: tuple) -> tuple:
+    """The head of a left-nested chain of ``kinds`` nodes and its links,
+    innermost first."""
+    links = []
+    while isinstance(e, kinds):
+        links.append(e)
+        e = e.left
+    return e, links[::-1]
+
+
+def _slot(scope: tuple, name: str) -> int:
+    """The slot of the innermost binder of ``name``."""
+    return len(scope) - 1 - scope[::-1].index(name)
+
+
+def _compile(e: Expr, scope: tuple, width: list) -> Callable:
+    """``e`` as a closure ``(gamma, slots) -> int``.  ``scope`` names the
+    variable held in each slot, outermost binder first; ``width[0]``
+    grows to the number of slots the whole term needs."""
     if isinstance(e, Nat):
-        return e.value
+        value = e.value
+        return lambda g, s: value
     if isinstance(e, Var):
-        return env[e.name]
+        slot = _slot(scope, e.name)
+        return lambda g, s: s[slot]
     if isinstance(e, Gamma):
-        return gamma(eval_expr(e.arg, gamma, env))
+        # ``g(i)``, the commonest read, takes its slot without a call.
+        if isinstance(e.arg, Var):
+            slot = _slot(scope, e.arg.name)
+            return lambda g, s: g(s[slot])
+        arg = _compile(e.arg, scope, width)
+        return lambda g, s: g(arg(g, s))
     if isinstance(e, BinOp):
-        # A lone operator, the common case, is evaluated here directly;
-        # a chain below it is folded in a loop.
-        left = e.left
-        if isinstance(left, BinOp):
-            left = _fold(left, gamma, env)
-        else:
-            left = eval_expr(left, gamma, env)
-        return _ARITH[e.op](left, eval_expr(e.right, gamma, env))
-    if isinstance(e, (Prod, Sum)):
-        bound = eval_expr(e.bound, gamma, env)
-        acc = 1 if isinstance(e, Prod) else 0
-        for i in range(bound):
-            val = eval_expr(e.body, gamma, {**env, e.var: i})
-            acc = acc * val if isinstance(e, Prod) else acc + val
-        return acc
-    if isinstance(e, (Least, Greatest)):
-        bound = eval_expr(e.bound, gamma, env)
-        indices = range(bound + 1) if isinstance(e, Least) \
-            else range(bound, -1, -1)
-        for i in indices:
-            if eval_cond(e.cond, gamma, {**env, e.var: i}):
-                return i
-        return eval_expr(e.orelse, gamma, env)
+        head, links = _spine(e, BinOp)
+        head = _compile(head, scope, width)
+        pairs = [(_ARITH[link.op], _compile(link.right, scope, width))
+                 for link in links]
+        if len(pairs) == 1:
+            (op, right), = pairs
+            # Likewise the numeral of ``i + 1``.
+            if isinstance(links[0].right, Nat):
+                value = links[0].right.value
+                return lambda g, s: op(head(g, s), value)
+            return lambda g, s: op(head(g, s), right(g, s))
+
+        def fold_chain(g, s):
+            acc = head(g, s)
+            for op, operand in pairs:
+                acc = op(acc, operand(g, s))
+            return acc
+        return fold_chain
+    if isinstance(e, (Prod, Sum, Least, Greatest)):
+        slot = len(scope)
+        width[0] = max(width[0], slot + 1)
+        bound = _compile(e.bound, scope, width)
+        inner = scope + (e.var,)
+        if isinstance(e, (Prod, Sum)):
+            body = _compile(e.body, inner, width)
+            op, acc0 = ((operator.mul, 1) if isinstance(e, Prod)
+                        else (operator.add, 0))
+
+            def fold_range(g, s):
+                acc = acc0
+                for i in range(bound(g, s)):
+                    s[slot] = i
+                    acc = op(acc, body(g, s))
+                return acc
+            return fold_range
+        cond = _compile_cond(e.cond, inner, width)
+        orelse = _compile(e.orelse, scope, width)
+        least = isinstance(e, Least)
+
+        def search(g, s):
+            top = bound(g, s)
+            for i in range(top + 1) if least else range(top, -1, -1):
+                s[slot] = i
+                if cond(g, s):
+                    return i
+            return orelse(g, s)
+        return search
     if isinstance(e, If):
-        branch = e.then if eval_cond(e.cond, gamma, env) else e.orelse
-        return eval_expr(branch, gamma, env)
+        cond = _compile_cond(e.cond, scope, width)
+        then = _compile(e.then, scope, width)
+        orelse = _compile(e.orelse, scope, width)
+        return lambda g, s: then(g, s) if cond(g, s) else orelse(g, s)
     raise TypeError("not an expression node: %r" % (e,))
 
 
-def _fold(e: BinOp, gamma: InfSeq, env: dict) -> int:
-    """The value of a left-nested operator chain, folded in a loop so that
-    the chain's length costs no stack."""
-    spine = []
-    while isinstance(e, BinOp):
-        spine.append(e)
-        e = e.left
-    acc = eval_expr(e, gamma, env)
-    for node in reversed(spine):
-        acc = _ARITH[node.op](acc, eval_expr(node.right, gamma, env))
-    return acc
-
-
-def eval_cond(c: Cond, gamma: InfSeq, env: dict) -> bool:
+def _compile_cond(c: Cond, scope: tuple, width: list) -> Callable:
+    """``c`` as a closure ``(gamma, slots) -> bool``, like ``_compile``."""
     if isinstance(c, Cmp):
-        left = eval_expr(c.left, gamma, env)
-        right = eval_expr(c.right, gamma, env)
-        return {"<": left < right, "<=": left <= right,
-                "=": left == right, "!=": left != right}[c.op]
-    if isinstance(c, (And, Or)):
-        return _fold_cond(c, gamma, env)
+        op = _CMP[c.op]
+        left = _compile(c.left, scope, width)
+        right = _compile(c.right, scope, width)
+        return lambda g, s: op(left(g, s), right(g, s))
     if isinstance(c, Not):
-        return not eval_cond(c.cond, gamma, env)
+        inner = _compile_cond(c.cond, scope, width)
+        return lambda g, s: not inner(g, s)
+    if isinstance(c, (And, Or)):
+        head, links = _spine(c, (And, Or))
+        head = _compile_cond(head, scope, width)
+        pairs = [(isinstance(link, And), _compile_cond(link.right, scope,
+                                                       width))
+                 for link in links]
+        if len(pairs) == 1:
+            (is_and, right), = pairs
+            if is_and:
+                return lambda g, s: head(g, s) and right(g, s)
+            return lambda g, s: head(g, s) or right(g, s)
+
+        def fold_chain(g, s):
+            acc = head(g, s)
+            for is_and, right in pairs:
+                # The right side decides only after a true left side
+                # under ``and`` and after a false one under ``or``.
+                if acc == is_and:
+                    acc = right(g, s)
+            return acc
+        return fold_chain
     raise TypeError("not a condition node: %r" % (c,))
 
 
-def _fold_cond(c: Cond, gamma: InfSeq, env: dict) -> bool:
-    """The value of a left-nested ``and``/``or`` chain, folded in a loop
-    like an operator chain."""
-    spine = []
-    while isinstance(c, (And, Or)):
-        spine.append(c)
-        c = c.left
-    acc = eval_cond(c, gamma, env)
-    for node in reversed(spine):
-        # The right side decides only after a true left side under
-        # ``and`` and after a false one under ``or``.
-        if acc == isinstance(node, And):
-            acc = eval_cond(node.right, gamma, env)
-    return acc
-
-
 def as_functional(e: Expr) -> Callable[[InfSeq], int]:
-    """Package a closed term as a reusable pure functional."""
-    return lambda gamma: eval_expr(e, gamma)
+    """Compile a closed term once into a reusable pure functional: nested
+    closures ``(gamma, slots) -> int`` with chains folded in loops, where
+    the variable of the binder ``d`` levels deep reads ``slots[d]``.  Each
+    call allocates its own slots, so the functional stays re-entrant when
+    a read of ``gamma`` calls it again."""
+    width = [0]
+    f = _compile(e, (), width)
+    k = width[0]
+    return lambda gamma: f(gamma, [0] * k)
 
 
 def _operand(e: Expr, prec: int) -> str:

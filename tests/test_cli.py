@@ -65,6 +65,16 @@ def test_solve_fuel_exit_3(capsys):
     assert captured.out == ""
 
 
+def test_solve_too_deep_recursion_exit_5(capsys):
+    # The sequential solver recurses once per carrier slot, and a control
+    # answering 8000 wants 8001 of them.
+    rc = cli.main(["solve", "--h", "8000", "--recursor", "spector"])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_DEPTH == 5
+    assert captured.err == "error: recursion too deep\n"
+    assert captured.out == ""
+
+
 def test_solve_csv_schema(tmp_path, capsys):
     out = tmp_path / "rows.csv"
     rc = cli.main(["solve", "--builtin", "leastinc:3", "--recursor", "both",

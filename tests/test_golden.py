@@ -2,7 +2,7 @@
 
 The benchmark checks every cell's output against ``perfbench/golden.json``.
 This test reads that file (it imports nothing from ``perfbench/``) and
-runs four of its cells in-process, so a change in suite counts, call
+runs six of its cells in-process, so a change in suite counts, call
 counts or the generators' random stream fails here rather than only as
 ``correct: false`` in a benchmark run.
 """
@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from barrec import cli
+from barrec.noinjection import builtin_dsl
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
 
@@ -42,3 +43,13 @@ def test_bench_rows(recursor, family, n, golden, capsys):
     rows = [[r["mode"], r["domain_size"], r["i"], r["calls"], r["valid"]]
             for r in json.loads(capsys.readouterr().out)]
     assert rows == golden["bench:%s:%s:%d" % (recursor, family, n)]
+
+
+@pytest.mark.parametrize("mode", ["plain", "memoized"])
+def test_dsl_solve_rows(mode, golden, capsys):
+    assert cli.main(["solve", "--h", builtin_dsl("leastinc", 30),
+                     "--recursor", "spector", "--mode", mode,
+                     "--format", "json"]) == 0
+    rows = [[r["mode"], r["domain_size"], r["i"], r["calls"], r["valid"]]
+            for r in json.loads(capsys.readouterr().out)]
+    assert rows == golden["solve-dsl:spector:leastinc:30:%s" % mode]

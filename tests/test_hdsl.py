@@ -1,4 +1,4 @@
-"""Parser, evaluator, and printer of the control DSL."""
+"""Parser, compiler, and printer of the control DSL."""
 
 import random
 import sys
@@ -9,7 +9,7 @@ from barrec import gen
 from barrec.hdsl import (MAX_DEPTH, And, BinOp, Cmp, Gamma, Greatest, If,
                          Least, Nat, Not, Or, ParseError, Prod, Sum,
                          UnboundVariable, Var, as_functional, cond_to_text,
-                         eval_expr, parse, to_text)
+                         parse, to_text)
 from barrec.noinjection import builtin_dsl, builtin_h
 from barrec.pfun import InfSeq, PartialFn, extend_hat
 
@@ -67,7 +67,8 @@ def test_deepest_term_parses_prints_and_round_trips(deepest, deeper):
     sys.setrecursionlimit(1000)
     try:
         e = parse(deepest)
-        assert eval_expr(e, InfSeq.constant(0)) in (0, 1, MAX_DEPTH // 2)
+        assert as_functional(e)(InfSeq.constant(0)) in (0, 1,
+                                                    MAX_DEPTH // 2)
         assert parse(to_text(e)) == e
         with pytest.raises(ParseError) as exc:
             parse(deeper)
@@ -79,18 +80,19 @@ def test_deepest_term_parses_prints_and_round_trips(deepest, deeper):
 def test_chains_cost_no_nesting():
     flat = " + ".join("g(%d)" % i for i in range(MAX_DEPTH + 1))
     e = parse(flat)
-    assert eval_expr(e, InfSeq(lambda i: i)) == MAX_DEPTH * (MAX_DEPTH + 1) // 2
+    assert as_functional(e)(InfSeq(lambda i: i)) == \
+        MAX_DEPTH * (MAX_DEPTH + 1) // 2
     assert to_text(e) == flat and parse(to_text(e)) == e
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
         long_sum = " + ".join(["1"] * 50000)
         assert to_text(parse(long_sum)) == long_sum
-        assert eval_expr(parse(long_sum), InfSeq.constant(0)) == 50000
+        assert as_functional(parse(long_sum))(InfSeq.constant(0)) == 50000
         conds = " and ".join("g(%d) < 5" % i for i in range(20000))
         cond_term = "if %s or 1 < 0 then 1 else 0" % conds
         assert to_text(parse(cond_term)) == cond_term
-        assert eval_expr(parse(cond_term), InfSeq.constant(0)) == 1
+        assert as_functional(parse(cond_term))(InfSeq.constant(0)) == 1
     finally:
         sys.setrecursionlimit(limit)
 
@@ -126,35 +128,38 @@ def test_precedence_and_associativity():
         BinOp("*", Nat(2), BinOp("^", Nat(3), Nat(2)))
     assert parse("7 - 2 - 1") == \
         BinOp("-", BinOp("-", Nat(7), Nat(2)), Nat(1))
-    assert eval_expr(parse("7 - 2 - 1"), InfSeq.constant(0)) == 4
+    assert as_functional(parse("7 - 2 - 1"))(InfSeq.constant(0)) == 4
 
 
 def test_eval_examples():
     gamma1 = InfSeq.constant(1)
-    assert eval_expr(parse("prod i < 4 : 1 + g(i)"), gamma1) == 16
+    assert as_functional(parse("prod i < 4 : 1 + g(i)"))(gamma1) == 16
     ladder = extend_hat(PartialFn(((0, 1), (1, 1), (2, 1), (3, 2))), 1)
-    assert eval_expr(parse("least i <= 3 st g(i) < g(i+1) else 3"),
-                     ladder) == 2
-    assert eval_expr(parse("5 - 7"), gamma1) == 0
-    assert eval_expr(parse("0 ^ 0"), gamma1) == 1
-    assert eval_expr(parse("sum i < 5 : i"), gamma1) == 10
-    assert eval_expr(parse("greatest i <= 5 st g(i) = 1 else 9"), gamma1) == 5
-    assert eval_expr(parse("greatest i <= 5 st g(i) = 2 else 9"), gamma1) == 9
-    assert eval_expr(parse("if not 1 < 0 then 3 else 4"), gamma1) == 3
-    assert eval_expr(parse("if 1 < 0 or 0 < 1 and 1 = 1 then 3 else 4"),
-                     gamma1) == 3
+    assert as_functional(parse("least i <= 3 st g(i) < g(i+1) else 3"))(
+        ladder) == 2
+    assert as_functional(parse("5 - 7"))(gamma1) == 0
+    assert as_functional(parse("0 ^ 0"))(gamma1) == 1
+    assert as_functional(parse("sum i < 5 : i"))(gamma1) == 10
+    assert as_functional(parse("greatest i <= 5 st g(i) = 1 else 9"))(
+        gamma1) == 5
+    assert as_functional(parse("greatest i <= 5 st g(i) = 2 else 9"))(
+        gamma1) == 9
+    assert as_functional(parse("if not 1 < 0 then 3 else 4"))(gamma1) == 3
+    assert as_functional(parse(
+        "if 1 < 0 or 0 < 1 and 1 = 1 then 3 else 4"))(gamma1) == 3
 
 
 def test_empty_ranges():
     gamma = InfSeq.constant(9)
-    assert eval_expr(parse("prod i < 0 : g(i)"), gamma) == 1
-    assert eval_expr(parse("sum i < 0 : g(i)"), gamma) == 0
-    assert eval_expr(parse("least i <= 0 st g(i) < g(i) else 7"), gamma) == 7
+    assert as_functional(parse("prod i < 0 : g(i)"))(gamma) == 1
+    assert as_functional(parse("sum i < 0 : g(i)"))(gamma) == 0
+    assert as_functional(parse("least i <= 0 st g(i) < g(i) else 7"))(
+        gamma) == 7
 
 
 def test_bound_evaluated_before_body():
     gamma = InfSeq(lambda i: i)
-    assert eval_expr(parse("sum i < g(3) : i"), gamma) == 3
+    assert as_functional(parse("sum i < g(3) : i"))(gamma) == 3
 
 
 def test_as_functional_matches_builtins():
@@ -166,6 +171,46 @@ def test_as_functional_matches_builtins():
         for _ in range(100):
             gamma = gen.gen_alpha(rng)
             assert h_ref(gamma) == h_dsl(gamma), (family, n)
+
+
+def _value_and_reads(h, alpha):
+    reads = []
+    value = h(InfSeq(lambda i: (reads.append(i), alpha(i))[1]))
+    return value, reads
+
+
+@pytest.mark.parametrize("family,ns", [
+    ("prod", (0, 1, 4, 7)), ("prodpow", (0, 2, 3)), ("leastinc", (0, 3, 9)),
+])
+def test_compiled_dsl_reads_gamma_like_builtin(family, ns):
+    # The same points in the same order: only then does a DSL solve make
+    # the extension reads, and so the counts, of a built-in one.
+    rng = random.Random(33)
+    for n in ns:
+        h_ref = builtin_h(family, n)
+        h_dsl = as_functional(parse(builtin_dsl(family, n)))
+        for _ in range(50):
+            alpha = gen.gen_alpha(rng)
+            assert _value_and_reads(h_dsl, alpha) == \
+                _value_and_reads(h_ref, alpha), (family, n)
+
+
+def test_as_functional_is_reentrant():
+    # Every read of gamma evaluates the same functional on a constant
+    # sequence, which has no increase and so runs the binder up to 3 and
+    # answers 3.  Shared slots would then hand the outer loop i = 3 for
+    # its second read, g(4) = 9 > g(0) = 8, and answer 0 instead of 1.
+    f = as_functional(parse("least i <= 3 st g(i) < g(i + 1) else 3"))
+    steps = [5, 5, 6, 6, 6]
+    gamma = InfSeq(lambda i: steps[i] + f(InfSeq.constant(0)))
+    assert f(InfSeq.constant(0)) == 3
+    assert f(gamma) == 1
+
+
+def test_inner_binder_shadows_outer():
+    # After the inner sum, ``i`` is the outer binder's again.
+    f = as_functional(parse("sum i < 3 : (sum i < 2 : i) + i"))
+    assert f(InfSeq.constant(0)) == 6
 
 
 def test_as_functional_constant():
@@ -216,6 +261,6 @@ def test_continuity_per_evaluation():
     e = parse("g(0) + g(g(1))")
     reads = []
     base = InfSeq(lambda i: (reads.append(i), i + 1)[1])
-    result = eval_expr(e, base)
+    result = as_functional(e)(base)
     twin = InfSeq(lambda i: i + 1 if i in reads else 99)
-    assert eval_expr(e, twin) == result
+    assert as_functional(e)(twin) == result
