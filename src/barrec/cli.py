@@ -7,10 +7,13 @@ thread construction, and ``interdef-test`` runs the translation
 differential suite.
 
 Exit codes: 0 success, 2 malformed input (a DSL syntax error, a DSL term
-nested too deeply, a bad argument value or an unwritable ``--output``),
+nested too deeply, a bad argument value, a ``BARREC_FUEL`` that is not an
+integer where no ``--fuel`` overrides it, or an unwritable ``--output``),
 3 fuel exhausted, 4 failed verification, 5 recursion too deep (the
 sequential solver recurses once per carrier slot, so a control with
 values in the thousands outgrows the interpreter's recursion limit).
+``bench`` reports a cell that runs out of fuel or recurses too deep as a
+row with an ``error`` field and still exits 0.
 CSV and JSON output is byte-deterministic for a fixed configuration
 except for the ``wall_ms`` field.
 """
@@ -75,9 +78,16 @@ class UsageError(ValueError):
     """A malformed argument value; ``main`` reports it with exit code 2."""
 
 
-def _fuel_fallback() -> int:
+def _fuel(args) -> int:
+    """``--fuel``, else ``BARREC_FUEL``, else ``DEFAULT_FUEL``."""
+    if args.fuel is not None:
+        return args.fuel
     env = os.environ.get("BARREC_FUEL")
-    return int(env) if env else DEFAULT_FUEL
+    try:
+        return int(env) if env else DEFAULT_FUEL
+    except ValueError:
+        raise UsageError("BARREC_FUEL wants an integer, got %r"
+                         % env) from None
 
 
 def _count(text: str) -> int:
@@ -137,12 +147,11 @@ def _rows_to_json(rows: list) -> str:
     return json.dumps(rows, indent=2) + "\n"
 
 
-def _run_cell(h, family, n, recursor, mode, fuel) -> dict:
-    ctx = EvalContext(fuel=fuel, mode=mode)
+def _run_cell(h, family, n, recursor, ctx) -> dict:
     started = time.perf_counter()
     c = counterexample(h, recursor, ctx)
     valid = verify_counterexample(h, c)
-    row = report_row(family, n, recursor, mode, c, valid)
+    row = report_row(family, n, recursor, ctx.mode, c, valid)
     row["wall_ms"] = _ms(started)
     return row
 
@@ -155,7 +164,9 @@ def cmd_solve(args) -> int:
     family, n, h = _resolve_h(args)
     recursors = (("spector", "symmetric") if args.recursor == "both"
                  else (args.recursor,))
-    rows = [_run_cell(h, family, n, recursor, args.mode, args.fuel)
+    fuel = _fuel(args)
+    rows = [_run_cell(h, family, n, recursor,
+                      EvalContext(fuel=fuel, mode=args.mode))
             for recursor in recursors]
     _emit(_format_rows(rows, args.format), args.output)
     if not all(row["valid"] for row in rows):
@@ -190,9 +201,9 @@ def _parse_range(text: str, family: str) -> range:
         ns = range(int(lo), int(hi or lo) + 1)
     except ValueError:
         ns = range(0)
-    if not ns:
-        raise UsageError("--n wants A or A..B with integers A <= B, got %r"
-                         % text)
+    if not ns or ns.start < 0:
+        raise UsageError("--n wants A or A..B with integers 0 <= A <= B, "
+                         "got %r" % text)
     return ns
 
 
@@ -201,14 +212,15 @@ def cmd_bench(args) -> int:
     recursors = (("spector", "symmetric") if args.recursor == "both"
                  else (args.recursor,))
     ranges = [(family, _parse_range(args.n, family)) for family in families]
+    fuel = _fuel(args)
     rows = []
     for family, ns in ranges:
         for n in ns:
             h = builtin_h(family, n)
             for recursor in recursors:
                 for mode in ("plain", "memoized"):
-                    rows.append(_bench_cell(h, family, n, recursor, mode,
-                                            args.fuel))
+                    ctx = EvalContext(fuel=fuel, mode=mode)
+                    rows.append(_bench_cell(h, family, n, recursor, ctx))
     if args.format == "text":
         _emit(_bench_text(rows), args.output)
     else:
@@ -216,19 +228,20 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def _bench_cell(h, family, n, recursor, mode, fuel) -> dict:
-    """``_run_cell``, or on fuel exhaustion a row carrying the calls made
-    so far."""
+def _bench_cell(h, family, n, recursor, ctx) -> dict:
+    """``_run_cell``, or when the fuel or the interpreter's stack runs out,
+    a row carrying the calls made so far."""
     started = time.perf_counter()
     try:
-        return _run_cell(h, family, n, recursor, mode, fuel)
-    except FuelExhausted as exc:
-        return {"family": family, "n": n, "recursor": recursor,
-                "mode": mode, "domain_size": None,
-                "calls": exc.metrics.calls, "i": None,
-                "alpha_prefix": None, "beta_prefix": None, "valid": None,
-                "error": "fuel-exhausted",
-                "wall_ms": _ms(started)}
+        return _run_cell(h, family, n, recursor, ctx)
+    except FuelExhausted:
+        error = "fuel-exhausted"
+    except RecursionError:
+        error = "recursion-too-deep"
+    return {"family": family, "n": n, "recursor": recursor,
+            "mode": ctx.mode, "domain_size": None, "calls": ctx.calls,
+            "i": None, "alpha_prefix": None, "beta_prefix": None,
+            "valid": None, "error": error, "wall_ms": _ms(started)}
 
 
 def _bench_text(rows: list) -> str:
@@ -263,7 +276,7 @@ def _cell_text(row) -> str:
     if row is None:
         return "-"
     if row.get("error"):
-        return "fuel!"
+        return "fuel!" if row["error"] == "fuel-exhausted" else "depth!"
     return "%d / %d" % (row["domain_size"], row["calls"])
 
 
@@ -290,7 +303,7 @@ def cmd_thread(args) -> int:
     steps = args.steps if args.steps is not None else len(u) + 1
     source = extend_hat(u, args.default) if args.total else u
     trace = trace_thread(control, source, steps, args.default,
-                         EvalContext(fuel=args.fuel))
+                         EvalContext(fuel=_fuel(args)))
     if args.format == "json":
         _emit(json.dumps(trace.to_json(), indent=2) + "\n", args.output)
         return EXIT_OK
@@ -327,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, with_h=False):
-        p.add_argument("--fuel", type=int, default=_fuel_fallback(),
+        p.add_argument("--fuel", type=int, default=None,
                        help="budget of recursor entries and thread steps "
                             "(env BARREC_FUEL)")
         p.add_argument("--format", choices=("text", "csv", "json"),

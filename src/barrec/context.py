@@ -45,10 +45,6 @@ class Metrics:
     max_domain: int
     mode: str
 
-    def to_json(self) -> dict:
-        return {"calls": self.calls, "max_domain": self.max_domain,
-                "mode": self.mode}
-
 
 class FuelExhausted(RuntimeError):
     """The evaluation exceeded its fuel budget.

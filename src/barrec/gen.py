@@ -168,15 +168,15 @@ def _gen_dsl_expr(rng: random.Random, scope: tuple, depth: int) -> hdsl.Expr:
         return hdsl.Gamma(_gen_dsl_expr(rng, scope, sub))
     if kind in (3, 4):
         var = _fresh_name(scope)
-        node = hdsl.Prod if kind == 3 else hdsl.Sum
-        return node(var, hdsl.Nat(rng.randint(0, 4)),
-                    _gen_dsl_expr(rng, scope + (var,), sub))
+        return hdsl.Fold("prod" if kind == 3 else "sum", var,
+                         hdsl.Nat(rng.randint(0, 4)),
+                         _gen_dsl_expr(rng, scope + (var,), sub))
     if kind in (5, 6):
         var = _fresh_name(scope)
-        node = hdsl.Least if kind == 5 else hdsl.Greatest
-        return node(var, hdsl.Nat(rng.randint(0, 5)),
-                    _gen_dsl_cond(rng, scope + (var,), sub),
-                    _gen_dsl_expr(rng, scope, sub))
+        return hdsl.Search("least" if kind == 5 else "greatest", var,
+                           hdsl.Nat(rng.randint(0, 5)),
+                           _gen_dsl_cond(rng, scope + (var,), sub),
+                           _gen_dsl_expr(rng, scope, sub))
     return hdsl.If(_gen_dsl_cond(rng, scope, sub),
                    _gen_dsl_expr(rng, scope, sub),
                    _gen_dsl_expr(rng, scope, sub))
@@ -192,8 +192,8 @@ def _gen_dsl_cond(rng: random.Random, scope: tuple, depth: int) -> hdsl.Cond:
         return hdsl.Not(_gen_dsl_cond(rng, scope, depth - 1))
     cond: hdsl.Cond = cmp()
     while depth > 0 and rng.random() < 0.3:
-        node = hdsl.And if rng.random() < 0.5 else hdsl.Or
-        cond = node(cond, cmp())
+        op = "and" if rng.random() < 0.5 else "or"
+        cond = hdsl.Conn(op, cond, cmp())
     return cond
 
 

@@ -62,7 +62,8 @@ class UnboundVariable(ValueError):
         super().__init__("unbound variable %r at offset %d" % (name, offset))
 
 
-# Expression nodes.
+# Expression nodes.  One class per syntactic form; a form with more than
+# one keyword holds its keyword in ``op``.
 
 class Expr:
     __slots__ = ()
@@ -91,29 +92,19 @@ class BinOp(Expr):
 
 
 @dataclass(frozen=True)
-class Prod(Expr):
+class Fold(Expr):
+    """The ``prod`` or ``sum`` (``op``) of ``body`` over ``var < bound``."""
+    op: str
     var: str
     bound: Expr
     body: Expr
 
 
 @dataclass(frozen=True)
-class Sum(Expr):
-    var: str
-    bound: Expr
-    body: Expr
-
-
-@dataclass(frozen=True)
-class Least(Expr):
-    var: str
-    bound: Expr
-    cond: "Cond"
-    orelse: Expr
-
-
-@dataclass(frozen=True)
-class Greatest(Expr):
+class Search(Expr):
+    """The ``least`` or ``greatest`` (``op``) ``var <= bound`` satisfying
+    ``cond``, else ``orelse``."""
+    op: str
     var: str
     bound: Expr
     cond: "Cond"
@@ -141,13 +132,9 @@ class Cmp(Cond):
 
 
 @dataclass(frozen=True)
-class And(Cond):
-    left: Cond
-    right: Cond
-
-
-@dataclass(frozen=True)
-class Or(Cond):
+class Conn(Cond):
+    """``left and right`` or ``left or right`` (``op``)."""
+    op: str
     left: Cond
     right: Cond
 
@@ -171,7 +158,7 @@ _PREC = {op: prec for prec, ops in enumerate(_BINARY) for op in ops}
 
 # Atoms that extend as far to the right as they can.  As an operand of a
 # binary operator or a comparison the printer puts them in parentheses.
-_GREEDY = (Prod, Sum, Least, Greatest, If)
+_GREEDY = (Fold, Search, If)
 _GREEDY_HEADS = ("prod", "sum", "least", "greatest", "if")
 
 # The deepest nesting ``parse`` accepts.  Each atom (a parenthesised term
@@ -264,11 +251,6 @@ class _Parser:
             left = BinOp(op, left, self.parse_expr(scope, prec + 1, True))
         return left
 
-    def parse_binder_head(self, relation: str) -> tuple:
-        name = self.expect("IDENT")[1]
-        self.expect(relation)
-        return name
-
     def parse_atom(self, scope: frozenset) -> Expr:
         kind, text, offset = self.peek()
         if kind == "NAT":
@@ -290,23 +272,20 @@ class _Parser:
             inner = self.parse_expr(scope)
             self.expect(")")
             return inner
-        if kind in ("prod", "sum"):
+        if kind in ("prod", "sum", "least", "greatest"):
+            fold = kind in ("prod", "sum")
             self.advance()
-            name = self.parse_binder_head("<")
+            name = self.expect("IDENT")[1]
+            self.expect("<" if fold else "<=")
             bound = self.parse_expr(scope)
-            self.expect(":")
-            body = self.parse_expr(scope | {name})
-            return (Prod if kind == "prod" else Sum)(name, bound, body)
-        if kind in ("least", "greatest"):
-            self.advance()
-            name = self.parse_binder_head("<=")
-            bound = self.parse_expr(scope)
+            inner = scope | {name}
+            if fold:
+                self.expect(":")
+                return Fold(kind, name, bound, self.parse_expr(inner))
             self.expect("st")
-            cond = self.parse_cond(scope | {name})
+            cond = self.parse_cond(inner)
             self.expect("else")
-            orelse = self.parse_expr(scope)
-            return (Least if kind == "least" else Greatest)(
-                name, bound, cond, orelse)
+            return Search(kind, name, bound, cond, self.parse_expr(scope))
         if kind == "if":
             self.advance()
             cond = self.parse_cond(scope)
@@ -327,8 +306,7 @@ class _Parser:
         left: Cond = self.parse_ccmp(scope)
         while self.peek()[0] in ("and", "or"):
             op = self.advance()[0]
-            right = self.parse_ccmp(scope)
-            left = And(left, right) if op == "and" else Or(left, right)
+            left = Conn(op, left, self.parse_ccmp(scope))
         return left
 
     def parse_ccmp(self, scope: frozenset) -> Cond:
@@ -354,13 +332,15 @@ _ARITH = {"+": operator.add, "-": lambda a, b: a - b if a > b else 0,
           "*": operator.mul, "^": operator.pow}
 _CMP = {"<": operator.lt, "<=": operator.le, "=": operator.eq,
         "!=": operator.ne}
+# The operator of each fold and its unit.
+_FOLD = {"prod": (operator.mul, 1), "sum": (operator.add, 0)}
 
 
-def _spine(e, kinds: tuple) -> tuple:
-    """The head of a left-nested chain of ``kinds`` nodes and its links,
+def _spine(e, kind: type) -> tuple:
+    """The head of a left-nested chain of ``kind`` nodes and its links,
     innermost first."""
     links = []
-    while isinstance(e, kinds):
+    while isinstance(e, kind):
         links.append(e)
         e = e.left
     return e, links[::-1]
@@ -407,15 +387,14 @@ def _compile(e: Expr, scope: tuple, width: list) -> Callable:
                 acc = op(acc, operand(g, s))
             return acc
         return fold_chain
-    if isinstance(e, (Prod, Sum, Least, Greatest)):
+    if isinstance(e, (Fold, Search)):
         slot = len(scope)
         width[0] = max(width[0], slot + 1)
         bound = _compile(e.bound, scope, width)
         inner = scope + (e.var,)
-        if isinstance(e, (Prod, Sum)):
+        if isinstance(e, Fold):
             body = _compile(e.body, inner, width)
-            op, acc0 = ((operator.mul, 1) if isinstance(e, Prod)
-                        else (operator.add, 0))
+            op, acc0 = _FOLD[e.op]
 
             def fold_range(g, s):
                 acc = acc0
@@ -426,7 +405,7 @@ def _compile(e: Expr, scope: tuple, width: list) -> Callable:
             return fold_range
         cond = _compile_cond(e.cond, inner, width)
         orelse = _compile(e.orelse, scope, width)
-        least = isinstance(e, Least)
+        least = e.op == "least"
 
         def search(g, s):
             top = bound(g, s)
@@ -454,11 +433,10 @@ def _compile_cond(c: Cond, scope: tuple, width: list) -> Callable:
     if isinstance(c, Not):
         inner = _compile_cond(c.cond, scope, width)
         return lambda g, s: not inner(g, s)
-    if isinstance(c, (And, Or)):
-        head, links = _spine(c, (And, Or))
+    if isinstance(c, Conn):
+        head, links = _spine(c, Conn)
         head = _compile_cond(head, scope, width)
-        pairs = [(isinstance(link, And), _compile_cond(link.right, scope,
-                                                       width))
+        pairs = [(link.op == "and", _compile_cond(link.right, scope, width))
                  for link in links]
         if len(pairs) == 1:
             (is_and, right), = pairs
@@ -518,14 +496,12 @@ def to_text(e: Expr) -> str:
             tail.append(" %s %s" % (e.op, _operand(e.right, prec + 1)))
             e = e.left
         return _operand(e, prec) + "".join(reversed(tail))
-    if isinstance(e, (Prod, Sum)):
-        word = "prod" if isinstance(e, Prod) else "sum"
-        return "%s %s < %s : %s" % (word, e.var, to_text(e.bound),
+    if isinstance(e, Fold):
+        return "%s %s < %s : %s" % (e.op, e.var, to_text(e.bound),
                                     to_text(e.body))
-    if isinstance(e, (Least, Greatest)):
-        word = "least" if isinstance(e, Least) else "greatest"
+    if isinstance(e, Search):
         return "%s %s <= %s st %s else %s" % (
-            word, e.var, to_text(e.bound), cond_to_text(e.cond),
+            e.op, e.var, to_text(e.bound), cond_to_text(e.cond),
             to_text(e.orelse))
     if isinstance(e, If):
         return "if %s then %s else %s" % (
@@ -540,15 +516,14 @@ def cond_to_text(c: Cond) -> str:
         return "not %s" % cond_to_text(c.cond)
     if isinstance(c, Cmp):
         return "%s %s %s" % (_operand(c.left, 0), c.op, _operand(c.right, 0))
-    if isinstance(c, (And, Or)):
+    if isinstance(c, Conn):
         # Printed in a loop along the left spine, like an operator chain.
         tail = []
-        while isinstance(c, (And, Or)):
-            if isinstance(c.right, (And, Or, Not)):
+        while isinstance(c, Conn):
+            if isinstance(c.right, (Conn, Not)):
                 raise ValueError(
                     "condition is not grammar-derivable: %r" % (c,))
-            word = "and" if isinstance(c, And) else "or"
-            tail.append(" %s %s" % (word, cond_to_text(c.right)))
+            tail.append(" %s %s" % (c.op, cond_to_text(c.right)))
             c = c.left
         return cond_to_text(c) + "".join(reversed(tail))
     raise TypeError("not a condition node: %r" % (c,))

@@ -63,11 +63,6 @@ class FiniteSeq:
             return self
         return FiniteSeq(self.items + other.items[len(self.items):])
 
-    def as_partial(self) -> "PartialFn":
-        """The same data viewed as a finite partial function on
-        ``{0, ..., |s|-1}``."""
-        return PartialFn(enumerate(self.items))
-
 
 class PartialFn:
     """Immutable finite partial function from an index domain to values.

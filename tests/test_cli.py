@@ -159,10 +159,40 @@ def test_bench_text_marks_unverified_reference(capsys):
 
 
 def test_bench_non_integer_range_exit_2(capsys):
-    rc = cli.main(["bench", "--n", "x"])
-    err = capsys.readouterr().err
-    assert rc == 2
-    assert err.startswith("error: --n") and err.count("\n") == 1
+    # Negative bounds too: there is no index -1 to report a collision at.
+    for text in ("x", "-1", "-3..2"):
+        rc = cli.main(["bench", "--n=" + text])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: --n") and err.count("\n") == 1
+
+
+def test_bench_keeps_rows_when_a_cell_recurses_too_deep(capsys):
+    # prodpow:5 wants a carrier of thousands of slots on the sequential
+    # solver, more frames than the interpreter allows.
+    rc, out = run_main(["bench", "--recursor", "spector", "--family",
+                        "prodpow", "--n", "4..5", "--format", "csv"], capsys)
+    assert rc == 0
+    rc4, out4 = run_main(["bench", "--recursor", "spector", "--family",
+                          "prodpow", "--n", "4", "--format", "csv"], capsys)
+    assert rc4 == 0
+    rows = _strip_wall_csv(out).splitlines()
+    assert rows[:3] == _strip_wall_csv(out4).splitlines()
+    assert len(rows) == 5
+    for row in rows[3:]:
+        family, n, _, _, domain, calls, i, valid = row.split(",")
+        assert (family, n, domain, i, valid) == ("prodpow", "5", "", "", "")
+        assert int(calls) > 0
+
+
+def test_bench_text_marks_error_rows():
+    def row(mode, error):
+        return {"family": "prodpow", "n": 5, "recursor": "spector",
+                "mode": mode, "domain_size": None, "calls": 7, "i": None,
+                "error": error}
+    text = cli._bench_text([row("plain", "recursion-too-deep"),
+                            row("memoized", "fuel-exhausted")])
+    assert text.splitlines()[2].split()[3:5] == ["depth!", "fuel!"]
 
 
 def test_bench_empty_range_exit_2(capsys):
@@ -250,6 +280,26 @@ def test_thread_fuel_exit_3(capsys):
     args = ["thread", "--builtin", "prod:3", "--total", "--steps", "10"]
     assert cli.main(args + ["--fuel", "1"]) == 3
     assert cli.main(args + ["--fuel", "2"]) == 0
+
+
+def test_malformed_env_fuel_exit_2(monkeypatch, capsys):
+    monkeypatch.setenv("BARREC_FUEL", "abc")
+    assert cli.main(["solve", "--builtin", "prod:4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: BARREC_FUEL")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--builtin", "prod:4", "--fuel", "1000"],
+    ["check", "--suite", "dsl", "--cases", "1"],
+    ["interdef-test", "--cases", "1", "--output", os.devnull],
+])
+def test_malformed_env_fuel_ignored_when_unused(argv, monkeypatch, capsys):
+    monkeypatch.setenv("BARREC_FUEL", "abc")
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_env_var_fuel(tmp_path):

@@ -2,29 +2,29 @@
 
 import random
 import sys
+from dataclasses import fields
 
 import pytest
 
 from barrec import gen
-from barrec.hdsl import (MAX_DEPTH, And, BinOp, Cmp, Gamma, Greatest, If,
-                         Least, Nat, Not, Or, ParseError, Prod, Sum,
-                         UnboundVariable, Var, as_functional, cond_to_text,
-                         parse, to_text)
+from barrec.hdsl import (MAX_DEPTH, BinOp, Cmp, Cond, Conn, Expr, Fold, Gamma,
+                         If, Nat, Not, ParseError, Search, UnboundVariable,
+                         Var, as_functional, cond_to_text, parse, to_text)
 from barrec.noinjection import builtin_dsl, builtin_h
 from barrec.pfun import InfSeq, PartialFn, extend_hat
 
 
 def test_parse_prod_example():
     assert parse("prod i < 4 : 1 + g(i)") == \
-        Prod("i", Nat(4), BinOp("+", Nat(1), Gamma(Var("i"))))
+        Fold("prod", "i", Nat(4), BinOp("+", Nat(1), Gamma(Var("i"))))
 
 
 def test_parse_least_example():
     e = parse("least i <= 3 st g(i) < g(i+1) else 3")
-    assert e == Least("i", Nat(3),
-                      Cmp("<", Gamma(Var("i")),
-                          Gamma(BinOp("+", Var("i"), Nat(1)))),
-                      Nat(3))
+    assert e == Search("least", "i", Nat(3),
+                       Cmp("<", Gamma(Var("i")),
+                           Gamma(BinOp("+", Var("i"), Nat(1)))),
+                       Nat(3))
 
 
 def test_parse_error_missing_bound():
@@ -233,17 +233,42 @@ def test_roundtrip_on_generated_terms():
         assert parse(to_text(e)) == e
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_generator_reaches_every_node_and_op(seed):
+    # The round-trip oracle of the ``dsl`` suite covers only the forms the
+    # generator builds; on its 200 default cases it should build them all.
+    expected = {
+        Nat: {None}, Var: {None}, Gamma: {None},
+        BinOp: {"+", "-", "*", "^"}, Fold: {"prod", "sum"},
+        Search: {"least", "greatest"}, If: {None},
+        Cmp: {"<", "<=", "=", "!="}, Conn: {"and", "or"}, Not: {None},
+    }
+    assert set(expected) == set(Expr.__subclasses__()
+                                + Cond.__subclasses__())
+    seen = {}
+    rng = random.Random(seed)
+    for _ in range(200):
+        stack = [gen.gen_hexpr(rng, depth=rng.randint(0, 3))]
+        while stack:
+            node = stack.pop()
+            seen.setdefault(type(node), set()).add(getattr(node, "op", None))
+            stack.extend(getattr(node, f.name) for f in fields(node)
+                         if isinstance(getattr(node, f.name), (Expr, Cond)))
+    assert seen == expected
+
+
 def test_roundtrip_specific_shapes():
     shapes = [
-        BinOp("+", Prod("i", Nat(2), Var("i")), Nat(1)),
-        Least("i", Nat(3), Cmp("=", Var("i"), Nat(2)),
-              If(Cmp("<", Nat(0), Nat(1)), Nat(4), Nat(5))),
-        If(Or(And(Cmp("=", Gamma(Nat(0)), Nat(1)),
-                  Cmp("=", Gamma(Nat(1)), Nat(2))),
-              Cmp("<", Nat(0), Nat(1))), Nat(0), Nat(1)),
-        Greatest("k", Nat(4), Not(Cmp("!=", Var("k"), Nat(1))), Nat(9)),
-        Sum("i", Gamma(Nat(0)), Prod("j", Var("i"),
-                                     BinOp("^", Var("j"), Nat(2)))),
+        BinOp("+", Fold("prod", "i", Nat(2), Var("i")), Nat(1)),
+        Search("least", "i", Nat(3), Cmp("=", Var("i"), Nat(2)),
+               If(Cmp("<", Nat(0), Nat(1)), Nat(4), Nat(5))),
+        If(Conn("or", Conn("and", Cmp("=", Gamma(Nat(0)), Nat(1)),
+                           Cmp("=", Gamma(Nat(1)), Nat(2))),
+                Cmp("<", Nat(0), Nat(1))), Nat(0), Nat(1)),
+        Search("greatest", "k", Nat(4), Not(Cmp("!=", Var("k"), Nat(1))),
+               Nat(9)),
+        Fold("sum", "i", Gamma(Nat(0)),
+             Fold("prod", "j", Var("i"), BinOp("^", Var("j"), Nat(2)))),
     ]
     for e in shapes:
         assert parse(to_text(e)) == e
@@ -251,8 +276,8 @@ def test_roundtrip_specific_shapes():
 
 def test_printer_rejects_underivable_conditions():
     with pytest.raises(ValueError):
-        cond_to_text(And(Cmp("=", Nat(0), Nat(0)),
-                         Not(Cmp("=", Nat(1), Nat(1)))))
+        cond_to_text(Conn("and", Cmp("=", Nat(0), Nat(0)),
+                          Not(Cmp("=", Nat(1), Nat(1)))))
 
 
 def test_continuity_per_evaluation():

@@ -101,8 +101,8 @@ def test_extend_hat_update_law(u, n, x):
 
 @given(seqs, seqs)
 def test_overlay_matches_partial_view(s, t):
-    merged = s.as_partial().merge(t.as_partial())
-    assert s.overlay(t).as_partial() == merged
+    merged = PartialFn(enumerate(s)).merge(PartialFn(enumerate(t)))
+    assert PartialFn(enumerate(s.overlay(t))) == merged
 
 
 def test_splice():
@@ -119,7 +119,6 @@ def test_duplicate_indices_rejected():
 
 def test_sequence_as_partial():
     s = FiniteSeq((7, 8))
-    assert s.as_partial() == PartialFn(((0, 7), (1, 8)))
     assert s.take(1) == FiniteSeq((7,))
     assert s.append(9) == FiniteSeq((7, 8, 9))
 

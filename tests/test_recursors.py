@@ -138,7 +138,7 @@ def test_fuel_exhausted_carries_metrics():
     with pytest.raises(FuelExhausted) as exc:
         br(params, EMPTY_SEQ, ctx)
     assert exc.value.metrics.calls <= 20
-    assert exc.value.metrics.to_json()["mode"] == "plain"
+    assert exc.value.metrics.mode == "plain"
 
 
 def test_sibling_sharing_within_one_entry():
