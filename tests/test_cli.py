@@ -212,6 +212,8 @@ def test_thread_non_integer_index_exit_2(capsys):
     ["thread", "--builtin", "prod:3", "--steps", "-4"],
     ["check", "--cases", "-3"],
     ["interdef-test", "--cases", "-2"],
+    ["solve", "--builtin", "prod:4", "--fuel", "-1"],
+    ["bench", "--family", "prod", "--n", "4", "--fuel", "-1"],
 ])
 def test_negative_count_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -289,6 +291,24 @@ def test_malformed_env_fuel_exit_2(monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: BARREC_FUEL")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--builtin", "prod:4"],
+    ["bench", "--family", "prod", "--n", "4", "--format", "csv"],
+])
+def test_negative_env_fuel_exit_2(argv, monkeypatch, capsys):
+    monkeypatch.setenv("BARREC_FUEL", "-1")
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: BARREC_FUEL wants a non-negative "
+                            "integer, got '-1'\n")
+
+
+def test_zero_fuel_exit_3(capsys):
+    assert cli.main(["solve", "--builtin", "prod:4", "--fuel", "0"]) == 3
+    assert capsys.readouterr().err == "error: fuel exhausted\n"
 
 
 @pytest.mark.parametrize("argv", [

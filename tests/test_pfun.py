@@ -145,3 +145,120 @@ def test_bounded_search():
     assert bounded_search(10, lambda i: i >= 4) == 4
     assert bounded_search(3, lambda i: False) == 3
     assert bounded_search(0, lambda i: True) == 0
+
+
+# -- Model tests: the carriers against a tuple and a dict. --------------------
+
+# Small ints are shared objects, so appending one again reuses the slot;
+# the big ints are fresh objects that are equal but not identical, which
+# forces a sibling copy.
+seq_values = st.one_of(st.integers(0, 3),
+                       st.integers(0, 3).map(lambda k: 10 ** 30 + k))
+seq_ops = st.lists(st.tuples(st.sampled_from(("append", "take")),
+                             st.integers(0, 1000), seq_values,
+                             st.integers(-10, 10)), max_size=40)
+
+
+def _build_views(start, ops):
+    """Pairs (view, model tuple), each grown from an arbitrary earlier
+    pair by ``append`` or ``take``."""
+    pool = [(FiniteSeq(start), tuple(start))]
+    for op, pick, x, k in ops:
+        s, model = pool[pick % len(pool)]
+        if op == "append":
+            pool.append((s.append(x), model + (x,)))
+        else:
+            pool.append((s.take(k), model[:k]))
+    return pool
+
+
+@given(st.lists(seq_values, max_size=4), seq_ops)
+def test_finite_seq_views_match_tuple_model(start, ops):
+    pool = _build_views(start, ops)
+    for s, model in pool:
+        fresh = FiniteSeq(model)
+        assert len(s) == len(model)
+        assert tuple(s) == model and s.items == model
+        assert s == fresh and hash(s) == hash(fresh) == hash(model)
+        assert repr(s) == repr(fresh) == "FiniteSeq(%r)" % (list(model),)
+        for i in range(-len(model) - 1, len(model) + 1):
+            if -len(model) <= i < len(model):
+                assert s[i] is model[i]
+            else:
+                with pytest.raises(IndexError):
+                    s[i]
+        assert s[1:-1] == model[1:-1] and s[::-2] == model[::-2]
+        for k in (-len(model) - 1, -1, 0, 1, len(model), len(model) + 1):
+            assert s.take(k) == FiniteSeq(model[:k])
+        assert extend_hat(s, None).prefix(len(model) + 2) == \
+            list(model) + [None, None]
+
+
+@given(st.lists(seq_values, max_size=4), seq_ops)
+def test_finite_seq_overlay_matches_tuple_model(start, ops):
+    pool = _build_views(start, ops)
+    for s, ms in pool:
+        for t, mt in pool:
+            merged = s.overlay(t)
+            assert merged == FiniteSeq(ms + mt[len(ms):])
+            extends = len(mt) > len(ms) and all(
+                a is b for a, b in zip(ms, mt))
+            if extends:
+                assert merged is t
+            assert (s == t) == (ms == mt)
+            if ms == mt:
+                assert hash(s) == hash(t)
+
+
+def test_sibling_appends_keep_their_own_values():
+    root = FiniteSeq((1, 2))
+    left, right = root.append(10 ** 30), root.append(-10 ** 30)
+    deeper = left.append(3)
+    assert (left.items, right.items, deeper.items) == \
+        ((1, 2, 10 ** 30), (1, 2, -10 ** 30), (1, 2, 10 ** 30, 3))
+    assert root.overlay(right) is right
+    assert FiniteSeq((1, 2)).overlay(deeper) is deeper
+    equal_not_same = FiniteSeq((1, 2, int("1" + "0" * 30)))
+    merged = equal_not_same.overlay(deeper)
+    assert merged == deeper and merged is not deeper
+
+
+# Index domains of the symmetric recursor: naturals, booleans, pairs.
+index_domains = st.sampled_from((
+    st.integers(0, 12),
+    st.booleans(),
+    st.tuples(st.integers(0, 3), st.booleans()),
+))
+pf_ops = st.lists(st.tuples(st.integers(0, 1000), values), max_size=12)
+
+
+@given(st.data())
+def test_partial_fn_matches_dict_model(data):
+    index = data.draw(index_domains)
+    probes = data.draw(st.lists(index, max_size=6))
+    pool = [(EMPTY, {})]
+    for pick, x in data.draw(pf_ops):
+        u, model = pool[pick % len(pool)]
+        n = data.draw(index)
+        pool.append((u.update(n, x), {**model, n: model.get(n, x)}))
+    for u, model in pool:
+        keys = [n for n, _ in u.entries]
+        assert keys == sorted(set(keys)) == sorted(model)
+        assert dict(u.entries) == model and len(u) == len(model)
+        assert u == PartialFn(model.items())
+        for n in probes + keys:
+            assert u.defined_at(n) == (n in model)
+            if n in model:
+                assert u(n) == model[n]
+            else:
+                with pytest.raises(KeyError):
+                    u(n)
+    for (u, mu), (v, mv) in zip(pool, reversed(pool)):
+        assert u.merge(v) == PartialFn({**mv, **mu}.items())
+        assert u.leq(v) == all(n in mv and mv[n] == x
+                               for n, x in mu.items())
+        for n in probes:
+            spliced = {m: y for m, y in mu.items() if m < n}
+            spliced[n] = 7
+            spliced.update((m, y) for m, y in mv.items() if m > n)
+            assert u.splice(n, 7, v) == PartialFn(spliced.items())
