@@ -242,8 +242,9 @@ def _bench_cell(h, family, n, recursor, ctx) -> dict:
         error = "recursion-too-deep"
     return {"family": family, "n": n, "recursor": recursor,
             "mode": ctx.mode, "domain_size": None, "calls": ctx.calls,
-            "i": None, "alpha_prefix": None, "beta_prefix": None,
-            "valid": None, "error": error, "wall_ms": _ms(started)}
+            "ticks": ctx.ticks, "i": None, "alpha_prefix": None,
+            "beta_prefix": None, "valid": None, "error": error,
+            "wall_ms": _ms(started)}
 
 
 def _bench_text(rows: list) -> str:

@@ -42,6 +42,7 @@ class Metrics:
     """Snapshot of one evaluation's instrumentation."""
 
     calls: int
+    ticks: int
     max_domain: int
     mode: str
 
@@ -93,8 +94,8 @@ class EvalContext:
         self.ticks += 1
 
     def metrics(self) -> Metrics:
-        return Metrics(calls=self.calls, max_domain=self.max_domain,
-                       mode=self.mode)
+        return Metrics(calls=self.calls, ticks=self.ticks,
+                       max_domain=self.max_domain, mode=self.mode)
 
     def fresh(self) -> "EvalContext":
         """A new context with the same configuration and zeroed counters."""

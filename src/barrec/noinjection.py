@@ -174,6 +174,7 @@ def report_row(family: str, n: "int | None", recursor: str, mode: str,
         "mode": mode,
         "domain_size": c.carrier_size,
         "calls": c.metrics.calls,
+        "ticks": c.metrics.ticks,
         "i": c.i,
         "alpha_prefix": c.alpha.prefix(k),
         "beta_prefix": c.beta.prefix(k),

@@ -7,7 +7,8 @@ Three kinds of value flow through the recursion engines:
 * ``PartialFn`` -- an immutable finite partial function (defined at
   finitely many indices), the state of symmetric bar recursion;
 * ``InfSeq`` -- a total function packaged as a callable value, used for
-  the canonical extension of either finite carrier.
+  the canonical extension of either finite carrier: a ``functools.partial``
+  whose function is ``.func``, so a read is partial's C call.
 
 Both finite carriers are kept in canonical form (entries sorted by index)
 so that structural equality coincides with extensional equality.
@@ -21,15 +22,17 @@ extends the same prefix by a different value copies that prefix once.
 ``take`` copies nothing, so a short view keeps its whole buffer alive.  A
 ``PartialFn`` keeps one sorted tuple of ``(index, value)`` entries and
 finds an index by bisection, so indices must be totally ordered.  ``InfSeq``
-values are never compared extensionally; only finite observations of them
-are.  Each value domain supplies its own canonical zero explicitly wherever
-an extension is formed; nothing here bakes in a zero for a type.
+values are equal only when identical; they are never compared
+extensionally, only finite observations of them are.  Each value domain
+supplies its own canonical zero explicitly wherever an extension is
+formed; nothing here bakes in a zero for a type.
 """
 
 from __future__ import annotations
 
 import operator
 from bisect import bisect_left, bisect_right
+from functools import partial
 from itertools import islice
 from typing import Any, Callable, Iterable, Iterator
 
@@ -235,21 +238,19 @@ EMPTY = PartialFn()
 EMPTY_SEQ = FiniteSeq()
 
 
-class InfSeq:
-    """A total function packaged as a callable value.
+class InfSeq(partial):
+    """A total function packaged as a callable value: a ``functools.partial``
+    with no bound arguments, whose function is ``.func``.
 
-    Instances are compared and hashed by identity; extensional equality of
-    function values is never decided, only finite observations are.  Each
-    query calls the function afresh, so queries must be deterministic.
+    A read ``alpha(i)`` is partial's C call straight into the function,
+    with no Python frame of its own.  Instances are compared and hashed by
+    identity; extensional equality of function values is never decided,
+    only finite observations are.  Each query calls the function afresh,
+    so queries must be deterministic.
     """
 
-    __slots__ = ("fn",)
-
-    def __init__(self, fn: Callable[[Any], Any]):
-        self.fn = fn
-
-    def __call__(self, i: Any) -> Any:
-        return self.fn(i)
+    __slots__ = ()
+    __call__ = partial.__call__
 
     @classmethod
     def constant(cls, x: Any) -> "InfSeq":
@@ -257,7 +258,7 @@ class InfSeq:
 
     def prefix(self, k: int) -> list:
         """The finite observation ``[self(0), ..., self(k-1)]``."""
-        return [self(i) for i in range(k)]
+        return list(map(self, range(k)))
 
     def __repr__(self) -> str:
         return "InfSeq(<fn>)"

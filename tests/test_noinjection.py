@@ -146,8 +146,10 @@ def test_report_row_schema():
     c = counterexample(h, "symmetric", EvalContext())
     row = report_row("prod", 4, "symmetric", "plain", c, True)
     assert list(row) == ["family", "n", "recursor", "mode", "domain_size",
-                         "calls", "i", "alpha_prefix", "beta_prefix",
-                         "valid"]
+                         "calls", "ticks", "i", "alpha_prefix",
+                         "beta_prefix", "valid"]
     assert row["domain_size"] == 1
+    assert (row["calls"], row["ticks"]) == (c.metrics.calls,
+                                            c.metrics.ticks)
     assert len(row["alpha_prefix"]) == max(c.i, 8) + 1
     assert row["valid"] is True

@@ -1,11 +1,14 @@
 """Laws of the finite carriers and canonical extensions."""
 
+import functools
 import json
+import sys
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from barrec.context import sibling_cache
 from barrec.pfun import (EMPTY, FiniteSeq, InfSeq, PartialFn,
                          bounded_search, extend_hat)
 
@@ -134,6 +137,71 @@ def test_infseq_uncached_and_constant():
     raw(3), raw(3)
     assert hits == [3, 3]
     assert InfSeq.constant(2).prefix(3) == [2, 2, 2]
+    assert InfSeq.constant("x").prefix(0) == []
+    assert raw.prefix(4) == [0, 1, 4, 9]
+    assert repr(raw) == repr(InfSeq.constant(1)) == "InfSeq(<fn>)"
+
+
+def _caller_code(i):
+    """The code object of the frame that called this function."""
+    return sys._getframe(1).f_code
+
+
+def _read_from_here(alpha):
+    return alpha(0), sys._getframe(0).f_code
+
+
+def test_infseq_read_is_partials_c_call():
+    assert vars(InfSeq)["__call__"] is functools.partial.__call__
+    alpha = InfSeq(_caller_code)
+    assert alpha.func is _caller_code
+    # No Python frame sits between the reader and the function.
+    seen, reader = _read_from_here(alpha)
+    assert seen is reader
+
+
+def test_infseq_call_can_be_patched_and_restored():
+    # The benchmark's tracer counts reads by swapping ``__call__`` on the
+    # class for a wrapper over the original, and later puts it back.
+    original = InfSeq.__call__
+    reads = []
+
+    def counted_call(self_, i):
+        reads.append(i)
+        return original(self_, i)
+
+    alpha = InfSeq(lambda i: i + 1)
+    InfSeq.__call__ = counted_call
+    try:
+        assert alpha(4) == 5
+        assert alpha.prefix(3) == [1, 2, 3]
+        assert reads == [4, 0, 1, 2]
+    finally:
+        InfSeq.__call__ = original
+    assert vars(InfSeq)["__call__"] is original is functools.partial.__call__
+    assert alpha(4) == 5 and reads == [4, 0, 1, 2]
+    seen, reader = _read_from_here(InfSeq(_caller_code))
+    assert seen is reader
+
+
+def test_infseq_equality_and_hash_are_identity():
+    def f(i):
+        return i * 10
+
+    a, b = InfSeq(f), InfSeq(f)
+    assert a == a and a != b and not a == b
+    assert hash(a) == object.__hash__(a) and hash(b) == object.__hash__(b)
+    # So a continuation's per-entry cache keys extensions by identity.
+    evaluated = []
+
+    def cont(alpha):
+        evaluated.append(alpha)
+        return alpha(2)
+
+    cached = sibling_cache(cont)
+    assert [cached(a), cached(a), cached(b), cached(b)] == [20, 20, 20, 20]
+    assert len(evaluated) == 2
+    assert evaluated[0] is a and evaluated[1] is b
 
 
 def test_json_forms():
