@@ -243,9 +243,9 @@ def sbr_from_br(params: RecursorParams, u: PartialFn,
     Extensionally equal to ``sbr``."""
     ctx = ctx or EvalContext()
     merged = u.merge
+    table = dict(u.entries)
 
     def control(alpha: InfSeq) -> Any:
-        table = dict(u.entries)
         return params.control(InfSeq(
             lambda i: table[i] if i in table else alpha(i)))
 

@@ -21,11 +21,19 @@ one list, and every state along the way is a view of it; a sibling that
 extends the same prefix by a different value copies that prefix once.
 ``take`` copies nothing, so a short view keeps its whole buffer alive.  A
 ``PartialFn`` keeps one sorted tuple of ``(index, value)`` entries and
-finds an index by bisection, so indices must be totally ordered.  ``InfSeq``
-values are equal only when identical; they are never compared
-extensionally, only finite observations of them are.  Each value domain
-supplies its own canonical zero explicitly wherever an extension is
-formed; nothing here bakes in a zero for a type.
+finds an index by bisection, so indices must be totally ordered.  Its
+``update`` and ``merge`` keep the entry tuples they are given (``update``
+builds only the new entry, ``merge`` none), so every state a recursion
+grows from one start state shares its entries; a merge into a carrier
+that already holds each of ``self``'s entries returns that carrier.
+
+Extension reads run in C where they can.  A ``PartialFn``'s extension reads
+an ``_Extension`` table, a ``dict`` whose ``__missing__`` returns the zero,
+so only a read outside the domain runs a Python frame; a constant sequence
+is ``partial(next, repeat(x))``.  ``InfSeq`` values are equal only when
+identical; they are never compared extensionally, only finite observations
+of them are.  Each value domain supplies its own canonical zero explicitly
+wherever an extension is formed; nothing here bakes in a zero for a type.
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ from __future__ import annotations
 import operator
 from bisect import bisect_left, bisect_right
 from functools import partial
-from itertools import islice
+from itertools import islice, repeat
 from typing import Any, Callable, Iterable, Iterator
 
 _new = object.__new__
@@ -200,14 +208,22 @@ class PartialFn:
         return _pf_sorted(entries[:i] + ((n, x),) + entries[i:])
 
     def merge(self, other: "PartialFn") -> "PartialFn":
-        """The merge ``u @ v`` with priority to ``self`` on shared indices."""
-        if not self.entries:
+        """The merge ``u @ v`` with priority to ``self`` on shared indices.
+
+        The result keeps the operands' entry tuples and builds no new
+        pair.  It is ``other`` itself when ``other`` holds each entry of
+        ``self`` as the same object, as a carrier grown from ``self`` by
+        ``update`` and ``merge`` does."""
+        mine, theirs = self.entries, other.entries
+        if not mine:
             return other
-        if not other.entries:
+        if not theirs:
             return self
-        combined = dict(other.entries)
-        combined.update(self.entries)
-        return _pf_sorted(tuple(sorted(combined.items(), key=_index)))
+        pairs = dict(zip(map(_index, theirs), theirs))
+        if all(map(operator.is_, map(pairs.get, map(_index, mine)), mine)):
+            return other
+        pairs.update(zip(map(_index, mine), mine))
+        return _pf_sorted(tuple(sorted(pairs.values(), key=_index)))
 
     def leq(self, other: "PartialFn") -> bool:
         """Domain inclusion with agreement on the smaller domain."""
@@ -240,13 +256,16 @@ EMPTY_SEQ = FiniteSeq()
 
 class InfSeq(partial):
     """A total function packaged as a callable value: a ``functools.partial``
-    with no bound arguments, whose function is ``.func``.
+    whose function is ``.func``, with no bound arguments except a
+    constant's ``repeat(x)``.
 
     A read ``alpha(i)`` is partial's C call straight into the function,
-    with no Python frame of its own.  Instances are compared and hashed by
-    identity; extensional equality of function values is never decided,
-    only finite observations are.  Each query calls the function afresh,
-    so queries must be deterministic.
+    with no Python frame of its own; it is all C when the function is a
+    builtin, as for a constant and a ``PartialFn``'s extension at a
+    defined point.  Instances are compared and hashed by identity;
+    extensional equality of function values is never decided, only finite
+    observations are.  Each query calls the function afresh, so queries
+    must be deterministic.
     """
 
     __slots__ = ()
@@ -254,7 +273,10 @@ class InfSeq(partial):
 
     @classmethod
     def constant(cls, x: Any) -> "InfSeq":
-        return cls(lambda _i: x)
+        """The sequence that is ``x`` everywhere: a read is
+        ``next(repeat(x), i)``, which never exhausts and so returns
+        ``x``."""
+        return cls(next, repeat(x))
 
     def prefix(self, k: int) -> list:
         """The finite observation ``[self(0), ..., self(k-1)]``."""
@@ -264,6 +286,22 @@ class InfSeq(partial):
         return "InfSeq(<fn>)"
 
 
+class _Extension(dict):
+    """A partial function's entries as a table that reads ``default`` at
+    every index it lacks.
+
+    ``__getitem__`` is dict's C lookup, so a read of a defined point runs
+    no Python frame; only a miss runs ``__missing__``, which inserts
+    nothing.  The table is built afresh for each extension and not cached
+    on the ``PartialFn``: the memo keeps its states alive, and a cached
+    table would live as long as they do."""
+
+    __slots__ = ("default",)
+
+    def __missing__(self, i: Any) -> Any:
+        return self.default
+
+
 def extend_hat(u: "PartialFn | FiniteSeq", default: Any) -> InfSeq:
     """Canonical extension: agree with ``u`` on its domain, return the
     supplied zero everywhere else."""
@@ -271,8 +309,9 @@ def extend_hat(u: "PartialFn | FiniteSeq", default: Any) -> InfSeq:
         buf, n = u._buf, u._n
         return InfSeq(lambda i: buf[i] if 0 <= i < n else default)
     if isinstance(u, PartialFn):
-        table = dict(u.entries)
-        return InfSeq(lambda i: table.get(i, default))
+        table = _Extension(u.entries)
+        table.default = default
+        return InfSeq(table.__getitem__)
     raise TypeError("cannot extend %r" % type(u).__name__)
 
 

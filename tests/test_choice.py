@@ -172,3 +172,20 @@ def test_memoized_sequential_carrier_memory_is_linear():
         tracemalloc.stop()
     assert len(t) == 257
     assert peak < 600_000
+
+
+def test_memoized_symmetric_carrier_memory_shares_entries():
+    # Each choice step merges the state into the child carrier, and the
+    # memo keeps every merged state.  When merge built fresh (index,
+    # value) pairs, the 101-entry leastinc:100 carrier peaked at 1.09 MB
+    # under tracemalloc; as a merge that returns the child, which holds
+    # the state's entries already, it peaks at 0.49 MB.
+    cp = make_choice_params(builtin_h("leastinc", 100))
+    tracemalloc.start()
+    try:
+        v = psi_symmetric(cp, EMPTY, EvalContext(mode=MEMOIZED))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(v) == 101
+    assert peak < 750_000

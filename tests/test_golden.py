@@ -2,7 +2,7 @@
 
 The benchmark checks every cell's output against ``perfbench/golden.json``.
 This test reads that file (it imports nothing from ``perfbench/``) and
-runs six of its cells in-process, so a change in suite counts, call
+runs seven of its cells in-process, so a change in suite counts, call
 counts or the generators' random stream fails here rather than only as
 ``correct: false`` in a benchmark run.
 """
@@ -36,6 +36,7 @@ def test_check_seed0_suite_counts(golden, capsys):
     ("spector", "leastinc", 30),
     ("spector", "prod", 10),
     ("symmetric", "contrived", 200),
+    ("symmetric", "leastinc", 200),
 ])
 def test_bench_rows(recursor, family, n, golden, capsys):
     assert cli.main(["bench", "--recursor", recursor, "--family", family,

@@ -204,6 +204,47 @@ def test_infseq_equality_and_hash_are_identity():
     assert evaluated[0] is a and evaluated[1] is b
 
 
+def _python_calls(read, points):
+    """The values ``read`` gives at ``points``, and the names of the Python
+    functions that ran while it did."""
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        values = list(map(read, points))
+    finally:
+        sys.setprofile(None)
+    return values, calls
+
+
+def test_constant_reads_run_no_python_frame():
+    for x in (0, "x", None, (1, 2)):
+        alpha = InfSeq.constant(x)
+        values, calls = _python_calls(alpha, range(5))
+        assert values == [x] * 5 and calls == []
+
+
+@pytest.mark.parametrize("entries,undefined", [
+    (((0, "a"), (3, "b"), (7, "c")), (1, 2, 8, -1)),
+    (((True, "t"),), (False,)),
+    ((((0, True), "p"), ((2, False), "q")), ((0, False), (1, True))),
+])
+def test_partial_fn_extension_reads(entries, undefined):
+    u = PartialFn(entries)
+    alpha = extend_hat(u, "zero")
+    defined = [n for n, _ in entries]
+    values, calls = _python_calls(alpha, defined)
+    assert values == [x for _, x in entries] and calls == []
+    assert [alpha(n) for n in undefined] == ["zero"] * len(undefined)
+    # A miss inserts nothing, so the table stays the partial function.
+    assert dict(alpha.func.__self__) == dict(entries)
+    assert extend_hat(u, None).prefix(0) == []
+
+
 def test_json_forms():
     u = PartialFn(((2, 9), (0, 4)))
     assert json.dumps(u.to_json()) == '{"0": 4, "2": 9}'
@@ -330,3 +371,29 @@ def test_partial_fn_matches_dict_model(data):
             spliced[n] = 7
             spliced.update((m, y) for m, y in mv.items() if m > n)
             assert u.splice(n, 7, v) == PartialFn(spliced.items())
+
+
+@given(st.data())
+def test_merge_shares_its_operands_entries(data):
+    index = data.draw(index_domains)
+    pool = [EMPTY]
+    for pick, other, x in data.draw(st.lists(
+            st.tuples(st.integers(0, 1000), st.integers(0, 1000), values),
+            max_size=12)):
+        u = pool[pick % len(pool)]
+        if data.draw(st.booleans()):
+            pool.append(u.update(data.draw(index), x))
+        else:
+            pool.append(u.merge(pool[other % len(pool)]))
+    for u in pool:
+        for v in pool:
+            merged = u.merge(v)
+            assert merged == PartialFn({**dict(v.entries),
+                                        **dict(u.entries)}.items())
+            own = {id(e) for e in u.entries + v.entries}
+            assert all(id(e) in own for e in merged.entries)
+            at = dict(zip((n for n, _ in v.entries), v.entries))
+            if all(at.get(e[0]) is e for e in u.entries):
+                assert merged is v
+        child = u.update(data.draw(index), 0)
+        assert u.merge(child) is child
