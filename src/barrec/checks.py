@@ -19,8 +19,8 @@ from .choice import (phi_spector, psi_symmetric, solve_spector,
 from .context import EvalContext
 from .interdef import br_from_sbr, carrier_stages, diag_finite, sbr_from_br, \
     theta_from_br
-from .noinjection import (BENCH_RANGES, FAMILIES, builtin_dsl, builtin_h,
-                          counterexample, make_choice_params,
+from .noinjection import (BENCH_RANGES, FAMILIES, RECURSORS, builtin_dsl,
+                          builtin_h, counterexample, make_choice_params,
                           verify_counterexample)
 from .pfun import EMPTY, EMPTY_SEQ, PartialFn, extend_hat
 from .recursors import br, sbr, theta
@@ -159,9 +159,8 @@ def suite_spector(seed: int = 0, cases: int = 100) -> SuiteResult:
             res.check(verify_equations(sol, cp),
                       "case %d: %s solution fails the equations"
                       % (case, tag))
-    for family in FAMILIES:
-        lo, hi = BENCH_RANGES[family]
-        for n in range(lo, hi + 1):
+    for family, ns in BENCH_RANGES.items():
+        for n in ns:
             cp = make_choice_params(builtin_h(family, n))
             for tag, solver in (("seq", solve_spector),
                                 ("sym", solve_symmetric)):
@@ -281,18 +280,17 @@ def suite_counterexamples(seed: int = 0, cases: int = 100) -> SuiteResult:
     table range and for generated DSL functionals, on both solvers."""
     rng = random.Random(seed)
     res = SuiteResult("counterexamples")
-    for family in FAMILIES:
-        lo, hi = BENCH_RANGES[family]
-        for n in range(lo, hi + 1):
+    for family, ns in BENCH_RANGES.items():
+        for n in ns:
             h = builtin_h(family, n)
-            for recursor in ("spector", "symmetric"):
+            for recursor in RECURSORS:
                 c = counterexample(h, recursor, EvalContext())
                 res.check(verify_counterexample(h, c),
                           "%s n=%d %s: invalid collision"
                           % (family, n, recursor))
     for case in range(cases):
         _, h = gen.gen_h_for_counterexample(rng)
-        for recursor in ("spector", "symmetric"):
+        for recursor in RECURSORS:
             c = counterexample(h, recursor, EvalContext())
             res.check(verify_counterexample(h, c),
                       "dsl case %d %s: invalid collision" % (case, recursor))
@@ -304,7 +302,7 @@ def suite_dsl(seed: int = 0, cases: int = 200) -> SuiteResult:
     on 100 generated sequences each, and ``cases`` printer round-trips."""
     rng = random.Random(seed)
     res = SuiteResult("dsl")
-    for family in ("prod", "prodpow", "leastinc", "contrived"):
+    for family in FAMILIES:
         n = rng.randint(2, 6)
         href = builtin_h(family, n)
         hdsl_fn = hdsl.as_functional(hdsl.parse(builtin_dsl(family, n)))

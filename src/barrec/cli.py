@@ -31,14 +31,14 @@ import sys
 import time
 
 from . import checks, hdsl
-from .context import DEFAULT_FUEL, EvalContext, FuelExhausted
-from .noinjection import (BENCH_RANGES, FAMILIES, builtin_h, counterexample,
-                          report_row, verify_counterexample)
+from .context import DEFAULT_FUEL, MODES, PLAIN, EvalContext, FuelExhausted
+from .noinjection import (BENCH_RANGES, FAMILIES, RECURSORS, builtin_h,
+                          counterexample, report_row, verify_counterexample)
 from .pfun import EMPTY, PartialFn, extend_hat
 from .threads import trace_thread
 
 CSV_COLUMNS = ("family", "n", "recursor", "mode", "domain_size", "calls",
-               "i", "valid", "wall_ms")
+               "i", "valid", "error", "wall_ms")
 
 # Domain sizes and call counts reported for a lazy-evaluation
 # implementation of the same two recursors, shown alongside our strict
@@ -95,7 +95,7 @@ def _fuel(args) -> int:
 def _count(text: str) -> int:
     """Argument type of ``--fuel``, ``--steps`` and ``--cases``: a
     non-negative integer."""
-    if not text.isdigit():
+    if not text.isdecimal():
         raise argparse.ArgumentTypeError(
             "wants a non-negative integer, got %r" % text)
     return int(text)
@@ -114,9 +114,9 @@ def _emit(text: str, output: str | None) -> None:
 
 def _resolve_h(args) -> tuple:
     """Returns (family label, n or None, functional)."""
-    if args.builtin:
+    if args.builtin is not None:
         family, _, num = args.builtin.partition(":")
-        if family not in FAMILIES or not num.isdigit():
+        if family not in FAMILIES or not num.isdecimal():
             raise UsageError("--builtin wants FAMILY:N with FAMILY in %s"
                              % (", ".join(FAMILIES)))
         n = int(num)
@@ -138,8 +138,6 @@ def _rows_to_csv(rows: list) -> str:
 
 
 def _csv_cell(value):
-    if value is None:
-        return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     return value
@@ -153,7 +151,7 @@ def _run_cell(h, family, n, recursor, ctx) -> dict:
     started = time.perf_counter()
     c = counterexample(h, recursor, ctx)
     valid = verify_counterexample(h, c)
-    row = report_row(family, n, recursor, ctx.mode, c, valid)
+    row = report_row(family, n, recursor, c.metrics, c, valid)
     row["wall_ms"] = _ms(started)
     return row
 
@@ -162,14 +160,16 @@ def _ms(started: float) -> float:
     return round((time.perf_counter() - started) * 1000.0, 3)
 
 
+def _recursors(args) -> tuple:
+    return RECURSORS if args.recursor == "both" else (args.recursor,)
+
+
 def cmd_solve(args) -> int:
     family, n, h = _resolve_h(args)
-    recursors = (("spector", "symmetric") if args.recursor == "both"
-                 else (args.recursor,))
     fuel = _fuel(args)
     rows = [_run_cell(h, family, n, recursor,
                       EvalContext(fuel=fuel, mode=args.mode))
-            for recursor in recursors]
+            for recursor in _recursors(args)]
     _emit(_format_rows(rows, args.format), args.output)
     if not all(row["valid"] for row in rows):
         return EXIT_INVALID
@@ -196,8 +196,7 @@ def _format_rows(rows: list, fmt: str) -> str:
 
 def _parse_range(text: str, family: str) -> range:
     if not text:
-        lo, hi = BENCH_RANGES[family]
-        return range(lo, hi + 1)
+        return BENCH_RANGES[family]
     lo, _, hi = text.partition("..")
     try:
         ns = range(int(lo), int(hi or lo) + 1)
@@ -211,16 +210,14 @@ def _parse_range(text: str, family: str) -> range:
 
 def cmd_bench(args) -> int:
     families = FAMILIES if args.family == "all" else (args.family,)
-    recursors = (("spector", "symmetric") if args.recursor == "both"
-                 else (args.recursor,))
     ranges = [(family, _parse_range(args.n, family)) for family in families]
     fuel = _fuel(args)
     rows = []
     for family, ns in ranges:
         for n in ns:
             h = builtin_h(family, n)
-            for recursor in recursors:
-                for mode in ("plain", "memoized"):
+            for recursor in _recursors(args):
+                for mode in MODES:
                     ctx = EvalContext(fuel=fuel, mode=mode)
                     rows.append(_bench_cell(h, family, n, recursor, ctx))
     if args.format == "text":
@@ -240,11 +237,9 @@ def _bench_cell(h, family, n, recursor, ctx) -> dict:
         error = "fuel-exhausted"
     except RecursionError:
         error = "recursion-too-deep"
-    return {"family": family, "n": n, "recursor": recursor,
-            "mode": ctx.mode, "domain_size": None, "calls": ctx.calls,
-            "ticks": ctx.ticks, "i": None, "alpha_prefix": None,
-            "beta_prefix": None, "valid": None, "error": error,
-            "wall_ms": _ms(started)}
+    row = report_row(family, n, recursor, ctx.metrics())
+    row.update(error=error, wall_ms=_ms(started))
+    return row
 
 
 def _bench_text(rows: list) -> str:
@@ -260,8 +255,6 @@ def _bench_text(rows: list) -> str:
     lines.append("-" * len(header))
     unverified = False
     for (family, n, recursor), modes in cells.items():
-        plain = modes.get("plain")
-        memo = modes.get("memoized")
         ref = LAZY_REFERENCE.get((family, n, recursor))
         ref_text = "%d / %d" % ref if ref else "-"
         if (family, n, recursor) in UNVERIFIED_REFERENCE:
@@ -269,7 +262,7 @@ def _bench_text(rows: list) -> str:
             unverified = True
         lines.append("%-10s %-3s %-10s %-22s %-22s %-14s" % (
             family, n, recursor,
-            _cell_text(plain), _cell_text(memo), ref_text))
+            *(_cell_text(modes.get(mode)) for mode in MODES), ref_text))
     if unverified:
         lines.append("(?) unverified reference row")
     return "\n".join(lines) + "\n"
@@ -299,7 +292,9 @@ def cmd_thread(args) -> int:
     if args.u:
         try:
             table = json.loads(args.u)
-            u = PartialFn((int(k), int(v)) for k, v in table.items())
+            if not all(type(v) is int for v in table.values()):
+                raise ValueError
+            u = PartialFn((int(k), v) for k, v in table.items())
         except (ValueError, TypeError, AttributeError):
             raise UsageError("--u wants a JSON object with integer keys and "
                              "values, got %r" % args.u) from None
@@ -358,11 +353,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="extract and verify a collision")
     add_common(p_solve, with_h=True)
-    p_solve.add_argument("--recursor",
-                         choices=("spector", "symmetric", "both"),
+    p_solve.add_argument("--recursor", choices=RECURSORS + ("both",),
                          default="both")
-    p_solve.add_argument("--mode", choices=("plain", "memoized"),
-                         default="plain")
+    p_solve.add_argument("--mode", choices=MODES, default=PLAIN)
     p_solve.set_defaults(fn=cmd_solve)
 
     p_bench = sub.add_parser("bench", help="regenerate comparison tables")
@@ -371,8 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
                          default="all")
     p_bench.add_argument("--n", default="",
                          help="range A..B (defaults per family)")
-    p_bench.add_argument("--recursor",
-                         choices=("spector", "symmetric", "both"),
+    p_bench.add_argument("--recursor", choices=RECURSORS + ("both",),
                          default="both")
     p_bench.set_defaults(fn=cmd_bench)
 

@@ -1,19 +1,21 @@
 """Evaluation contexts: fuel budgets, call counters, and memo tables.
 
-One ``EvalContext`` instrument exactly one evaluation; contexts are never
+One ``EvalContext`` instruments exactly one evaluation; contexts are never
 shared across concurrent evaluations.  ``calls`` counts entries into a
 recursor body.  Auxiliary bounded unfoldings (thread construction,
 termination-bound searches) are charged against the same fuel budget
 through ``tick`` but are not reported as recursor calls.
 
-Two evaluation modes are supported.  In ``plain`` mode nothing is shared
-across body entries: each entry evaluates its continuation at most once
-per distinct argument (repeat invocations with the same argument inside
-one entry reuse the recorded result), and that is the only sharing.  In
-``memoized`` mode results are additionally cached for the whole evaluation
-in ``memo``, keyed by the recursion's parameters and state; one wrapper in
-``recursors`` serves both engines.  Both modes yield deterministic call
-counts for a fixed instance.
+The evaluation modes are declared once, in ``MODES``; the CLI's
+``--mode`` choices and the ``bench`` columns read them from there.  In
+``plain`` mode nothing is shared across body entries: each entry
+evaluates its continuation at most once per distinct argument (repeat
+invocations with the same argument inside one entry reuse the recorded
+result), and that is the only sharing.  In ``memoized`` mode results are
+additionally cached for the whole evaluation in ``memo``, keyed by the
+recursion's parameters and state; one wrapper in ``recursors`` serves
+both engines.  Both modes yield deterministic call counts for a fixed
+instance.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ DEFAULT_FUEL = 10_000_000
 
 PLAIN = "plain"
 MEMOIZED = "memoized"
+MODES = (PLAIN, MEMOIZED)
 
 _STACK_LIMIT = 40_000
 
@@ -69,7 +72,7 @@ class EvalContext:
     """Instrumentation for one evaluation: fuel, counters, memo tables."""
 
     def __init__(self, fuel: int = DEFAULT_FUEL, mode: str = PLAIN):
-        if mode not in (PLAIN, MEMOIZED):
+        if mode not in MODES:
             raise ValueError("unknown mode %r" % (mode,))
         self.fuel = fuel
         self.mode = mode

@@ -102,11 +102,9 @@ def diag_finite(s: FiniteSeq) -> PartialFn:
     value of the first snapshot ``s_i`` with ``i <= j`` that defines it,
     and stays undefined when no snapshot at or below ``j`` does."""
     pairs = {}
-    seen: set = set()
     for i, slot in enumerate(s):
         for j, x in slot.snapshot.entries:
-            if j >= i and j not in seen:
-                seen.add(j)
+            if j >= i and j not in pairs:
                 pairs[j] = x
     return PartialFn(pairs.items())
 

@@ -12,7 +12,9 @@ countable choice solvers with
 over the value domain of sequences (zero is the constant-0 sequence), and
 reads the collision off a solution: ``alpha = q(f)``, ``i = control(f)``,
 ``beta = f(i)``.  Built-in ``H`` families and a verifier for the produced
-collisions live here as well.
+collisions live here as well.  So do the report's axes, each declared
+once: the families with their ``bench`` ranges (``BENCH_RANGES``), the
+recursor names (``RECURSORS``) and the row schema (``report_row``).
 """
 
 from __future__ import annotations
@@ -26,15 +28,17 @@ from .pfun import InfSeq
 
 HFunctional = Callable[[InfSeq], int]
 
-FAMILIES = ("prod", "prodpow", "leastinc", "contrived")
-
-# Default n ranges for the benchmark tables, per family.
+# The built-in families and the n each runs over in the benchmark tables.
 BENCH_RANGES = {
-    "prod": (4, 6),
-    "prodpow": (3, 4),
-    "leastinc": (3, 5),
-    "contrived": (2, 6),
+    "prod": range(4, 7),
+    "prodpow": range(3, 5),
+    "leastinc": range(3, 6),
+    "contrived": range(2, 7),
 }
+FAMILIES = tuple(BENCH_RANGES)
+
+# The sequential and the demand-driven solver, by the names of their rows.
+RECURSORS = ("spector", "symmetric")
 
 
 def builtin_h(family: str, n: int) -> HFunctional:
@@ -163,20 +167,21 @@ def verify_counterexample(h: HFunctional, c: Counterexample) -> bool:
     return c.alpha(c.i) != c.beta(c.i) and h(c.alpha) == h(c.beta)
 
 
-def report_row(family: str, n: "int | None", recursor: str, mode: str,
-               c: Counterexample, valid: bool) -> dict:
-    """One benchmark/solve report row; key order is the wire format."""
-    k = c.prefix_length()
-    return {
-        "family": family,
-        "n": n,
-        "recursor": recursor,
-        "mode": mode,
-        "domain_size": c.carrier_size,
-        "calls": c.metrics.calls,
-        "ticks": c.metrics.ticks,
-        "i": c.i,
-        "alpha_prefix": c.alpha.prefix(k),
-        "beta_prefix": c.beta.prefix(k),
-        "valid": valid,
-    }
+def report_row(family: str, n: "int | None", recursor: str,
+               metrics: Metrics, c: "Counterexample | None" = None,
+               valid: "bool | None" = None) -> dict:
+    """One benchmark/solve report row; key order is the wire format.
+
+    Without a counterexample ``c`` the row reports a run that stopped
+    early: ``metrics`` holds the work done so far and the result fields
+    are ``None``."""
+    row = {"family": family, "n": n, "recursor": recursor,
+           "mode": metrics.mode, "domain_size": None,
+           "calls": metrics.calls, "ticks": metrics.ticks, "i": None,
+           "alpha_prefix": None, "beta_prefix": None, "valid": valid}
+    if c is not None:
+        k = c.prefix_length()
+        row.update(domain_size=c.carrier_size, i=c.i,
+                   alpha_prefix=c.alpha.prefix(k),
+                   beta_prefix=c.beta.prefix(k))
+    return row

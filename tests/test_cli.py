@@ -5,10 +5,13 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from barrec import checks, cli
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_main(args, capsys):
@@ -179,10 +182,21 @@ def test_bench_keeps_rows_when_a_cell_recurses_too_deep(capsys):
     rows = _strip_wall_csv(out).splitlines()
     assert rows[:3] == _strip_wall_csv(out4).splitlines()
     assert len(rows) == 5
+    assert [row.split(",")[-1] for row in rows[1:3]] == ["", ""]
     for row in rows[3:]:
-        family, n, _, _, domain, calls, i, valid = row.split(",")
+        family, n, _, _, domain, calls, i, valid, error = row.split(",")
         assert (family, n, domain, i, valid) == ("prodpow", "5", "", "", "")
+        assert error == "recursion-too-deep"
         assert int(calls) > 0
+    # With less fuel the same cell runs out of fuel first.
+    rc, out = run_main(["bench", "--recursor", "spector", "--family",
+                        "prodpow", "--n", "5", "--fuel", "100", "--format",
+                        "csv"], capsys)
+    assert rc == 0
+    rows = list(csv.DictReader(out.splitlines()))
+    assert [(r["mode"], r["calls"], r["valid"], r["error"]) for r in rows] \
+        == [("plain", "100", "", "fuel-exhausted"),
+            ("memoized", "100", "", "fuel-exhausted")]
 
 
 def test_bench_text_marks_error_rows():
@@ -206,6 +220,17 @@ def test_thread_non_integer_index_exit_2(capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error: --u") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", ["Infinity", "1e999", "2.9", "true"])
+def test_thread_non_integer_value_exit_2(value, capsys):
+    rc = cli.main(["thread", "--builtin", "prod:2", "--u",
+                   '{"0": %s}' % value])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: --u wants ")
+    assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -306,6 +331,23 @@ def test_negative_env_fuel_exit_2(argv, monkeypatch, capsys):
                             "integer, got '-1'\n")
 
 
+@pytest.mark.parametrize("argv, env_fuel", [
+    (["solve", "--builtin", "prod:\u00b2"], None),
+    (["solve", "--builtin="], None),
+    (["solve", "--builtin", "prod:4"], "\u00b2"),
+], ids=["superscript-n", "empty-builtin", "superscript-env-fuel"])
+def test_digit_like_or_empty_text_exit_2(argv, env_fuel, monkeypatch,
+                                         capsys):
+    # "\u00b2".isdigit() holds, but int() refuses it.
+    if env_fuel is not None:
+        monkeypatch.setenv("BARREC_FUEL", env_fuel)
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_zero_fuel_exit_3(capsys):
     assert cli.main(["solve", "--builtin", "prod:4", "--fuel", "0"]) == 3
     assert capsys.readouterr().err == "error: fuel exhausted\n"
@@ -322,11 +364,18 @@ def test_malformed_env_fuel_ignored_when_unused(argv, monkeypatch, capsys):
     assert capsys.readouterr().err == ""
 
 
+def _child_env(**extra) -> dict:
+    """The environment for a child interpreter that imports this
+    checkout's ``barrec``, never an installed copy."""
+    path = filter(None, (str(SRC), os.environ.get("PYTHONPATH")))
+    return {**os.environ, **extra, "PYTHONPATH": os.pathsep.join(path)}
+
+
 def test_env_var_fuel(tmp_path):
     script = ("import sys; from barrec import cli; "
               "sys.exit(cli.main(['solve', '--builtin', 'prod:6']))")
     proc = subprocess.run([sys.executable, "-c", script],
-                          env={**os.environ, "BARREC_FUEL": "5"},
+                          env=_child_env(BARREC_FUEL="5"),
                           capture_output=True, text=True)
     assert proc.returncode == 3
 
@@ -334,6 +383,6 @@ def test_env_var_fuel(tmp_path):
 def test_console_entry_point():
     proc = subprocess.run([sys.executable, "-m", "barrec.cli", "solve",
                            "--builtin", "contrived:3", "--recursor", "both"],
-                          capture_output=True, text=True)
+                          env=_child_env(), capture_output=True, text=True)
     assert proc.returncode == 0
     assert "valid=True" in proc.stdout

@@ -1,0 +1,174 @@
+"""Every CLI argument value ends in a documented exit code.
+
+``cli.main`` runs in-process on each subcommand, with argument values
+drawn from small valid ones and from malformed text: ``--fuel``, ``--n``,
+``--steps``, ``--cases`` (at most 2), ``--builtin`` (n at most 4),
+``--output`` (a file, a path under a missing directory, a directory),
+``BARREC_FUEL``, ``--u`` (JSON objects whose values are integers, floats,
+``Infinity``, booleans, ``null`` or strings) and ``--h`` (generated DSL
+terms and malformed text).  The exit code must be one of 0, 2, 3, 4 and
+5, argparse's own exit 2 included, and no exception may escape.
+
+Every well-formed fuel is at most 300, and no run goes without one, so
+each run is short.  That is also what this test leaves out: fuel bounds
+recursor entries and thread steps, not the DSL work inside one
+evaluation of a control, so ``solve --h "sum i < 100000000 : g(i)"``
+runs for as long as its bound says whatever ``--fuel`` is.  That is an
+open defect (ROADMAP Direction 2); the generated terms keep their
+bounds small, and malformed text holds no decimal digit that could
+name a large ``n``.
+"""
+
+import io
+import json
+import os
+import random
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from barrec import checks, cli, gen, hdsl
+from barrec.noinjection import FAMILIES
+
+EXIT_CODES = {cli.EXIT_OK, cli.EXIT_PARSE, cli.EXIT_FUEL, cli.EXIT_INVALID,
+              cli.EXIT_DEPTH}
+
+# Short text with no decimal digit, so it never reads as a number.
+junk = st.text(st.characters(exclude_categories=("Cs", "Nd"),
+                             exclude_characters="\x00"), max_size=6)
+
+
+def mostly(valid, *bad):
+    """``valid`` three times in four, else one of ``bad`` or junk."""
+    invalid = st.one_of(st.sampled_from(bad), junk)
+    return st.sampled_from((valid, valid, valid, invalid)).flatmap(
+        lambda s: s)
+
+
+fuels = mostly(st.integers(0, 300).map(str),
+               "", "-1", "3.5", "1e3", " 7", "\u00b2", "0x10")
+counts = mostly(st.integers(0, 2).map(str), "-2", "1.0", "\u00b2", "two")
+steps = mostly(st.integers(0, 6).map(str), "-4", "\u00b3")
+seeds = mostly(st.integers(-5, 5).map(str), "1.5")
+defaults = mostly(st.integers(-2, 3).map(str), "1.5")
+ranges = mostly(
+    st.one_of(st.integers(0, 4).map(str),
+              st.tuples(st.integers(0, 4), st.integers(0, 4)).map(
+                  lambda ab: "%d..%d" % ab)),
+    "", "-1", "3..", "..3", "1..x", "-3..2", "4..2", "\u00b2")
+builtins = mostly(
+    st.tuples(st.sampled_from(FAMILIES), st.integers(0, 4)).map(
+        lambda fn: "%s:%d" % fn),
+    "", "prod", "prod:", "nope:3", ":3", "prod:-1", "prod:\u00b2",
+    "prod:3.0")
+dsl_terms = mostly(
+    st.builds(lambda seed, depth: hdsl.to_text(
+        gen.gen_hexpr(random.Random(seed), depth)),
+        st.integers(0, 2 ** 32), st.integers(0, 3)),
+    "", "prod i <", "g(", "1 +", "((1)", "i", "x + 1")
+u_tables = mostly(
+    st.dictionaries(
+        mostly(st.integers(0, 6).map(str), "-1", "1.5", ""),
+        st.one_of(st.integers(-3, 9), st.floats(), st.booleans(),
+                  st.none(), st.text(max_size=3)),
+        max_size=4).map(json.dumps),
+    '{"0": 1e999}', "[]", "1", "null", "{", '"x"', '{"0": [1]}')
+
+
+def choice(values, bad):
+    return mostly(st.sampled_from(values), bad)
+
+
+formats = choice(("text", "csv", "json"), "xml")
+recursors = choice(("spector", "symmetric", "both"), "lazy")
+
+# Stands for a directory that each run may write under.
+TMP = "<tmp>"
+outputs = st.sampled_from(((), ("--output=%s/out.txt" % TMP,),
+                           ("--output=%s/missing/out.txt" % TMP,),
+                           ("--output=" + TMP,)))
+
+
+def opt(flag, values):
+    """``(flag=value,)`` or nothing."""
+    return st.one_of(st.just(()), values.map(lambda v: (flag + "=" + v,)))
+
+
+# ``--builtin`` or ``--h``, or else both or neither.
+controls = st.one_of(builtins.map(lambda b: ("--builtin=" + b,)),
+                     dsl_terms.map(lambda h: ("--h=" + h,)),
+                     st.sampled_from(((), ("--builtin=prod:2", "--h=g(0)"))))
+
+
+def command(name, *parts):
+    return st.tuples(*parts).map(
+        lambda ps: [name] + [a for p in ps for a in p])
+
+
+argvs = st.one_of(
+    command("solve", controls,
+            opt("--recursor", recursors),
+            opt("--mode", choice(("plain", "memoized"), "eager")),
+            opt("--fuel", fuels), opt("--format", formats), outputs),
+    command("bench", opt("--family", choice(FAMILIES + ("all",), "x")),
+            opt("--n", ranges),
+            opt("--recursor", recursors),
+            opt("--fuel", fuels), opt("--format", formats), outputs),
+    command("check", opt("--suite", choice(tuple(checks.ALL_SUITES), "x")),
+            opt("--cases", counts), opt("--seed", seeds)),
+    command("thread", controls, opt("--u", u_tables), opt("--steps", steps),
+            st.sampled_from(((), ("--total",))),
+            opt("--default", defaults), opt("--fuel", fuels),
+            opt("--format", formats), outputs),
+    command("interdef-test", opt("--cases", counts), opt("--seed", seeds),
+            outputs))
+
+# The option that bounds each subcommand's work, with the value a run
+# gets when it draws none; otherwise fuel defaults to 10^7 and cases to
+# a hundred or more.
+BOUNDS = {"solve": "--fuel=300", "bench": "--fuel=300",
+          "thread": "--fuel=300", "check": "--cases=2",
+          "interdef-test": "--cases=2"}
+
+
+def run(argv, env_fuel):
+    """Exit code and stderr of one in-process run."""
+    err = io.StringIO()
+    with mock.patch.dict(os.environ), redirect_stdout(io.StringIO()), \
+            redirect_stderr(err):
+        os.environ.pop("BARREC_FUEL", None)
+        if env_fuel is not None:
+            os.environ["BARREC_FUEL"] = env_fuel
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    return rc, err.getvalue()
+
+
+def bounded(argv, env_fuel):
+    """``argv`` with its subcommand's bound added if it draws none."""
+    bound = BOUNDS[argv[0]]
+    flag = bound.split("=")[0] + "="
+    if any(a.startswith(flag) for a in argv) or (
+            flag == "--fuel=" and env_fuel):
+        return argv
+    return argv + [bound]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(argv=argvs, env_fuel=st.one_of(st.none(), fuels.filter(bool)))
+# A JSON infinity once escaped ``int`` as an OverflowError.
+@example(argv=["thread", "--builtin=prod:2", '--u={"0": Infinity}'],
+         env_fuel=None)
+def test_every_argument_value_ends_in_a_documented_exit_code(
+        tmp_path_factory, argv, env_fuel):
+    tmp = tmp_path_factory.getbasetemp() / "cli_inputs"
+    tmp.mkdir(exist_ok=True)
+    argv = [a.replace(TMP, str(tmp)) for a in bounded(argv, env_fuel)]
+    rc, err = run(argv, env_fuel)
+    assert rc in EXIT_CODES, (argv, env_fuel, rc, err)
+    if rc != cli.EXIT_OK:
+        assert err and "Traceback" not in err

@@ -144,12 +144,26 @@ def test_alpha_beta_always_differ_at_i():
 def test_report_row_schema():
     h = builtin_h("prod", 4)
     c = counterexample(h, "symmetric", EvalContext())
-    row = report_row("prod", 4, "symmetric", "plain", c, True)
+    row = report_row("prod", 4, "symmetric", c.metrics, c, True)
     assert list(row) == ["family", "n", "recursor", "mode", "domain_size",
                          "calls", "ticks", "i", "alpha_prefix",
                          "beta_prefix", "valid"]
+    assert row["mode"] == "plain"
     assert row["domain_size"] == 1
     assert (row["calls"], row["ticks"]) == (c.metrics.calls,
                                             c.metrics.ticks)
     assert len(row["alpha_prefix"]) == max(c.i, 8) + 1
     assert row["valid"] is True
+
+
+def test_report_row_without_counterexample_keeps_the_schema():
+    c = counterexample(builtin_h("prod", 4), "symmetric", EvalContext())
+    ctx = EvalContext(mode="memoized")
+    ctx.charge(3)
+    ctx.tick()
+    row = report_row("prodpow", 5, "spector", ctx.metrics())
+    assert list(row) == list(report_row("prod", 4, "symmetric", c.metrics, c))
+    assert row == {"family": "prodpow", "n": 5, "recursor": "spector",
+                   "mode": "memoized", "domain_size": None, "calls": 1,
+                   "ticks": 1, "i": None, "alpha_prefix": None,
+                   "beta_prefix": None, "valid": None}
