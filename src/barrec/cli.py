@@ -119,7 +119,12 @@ def _resolve_h(args) -> tuple:
         if family not in FAMILIES or not num.isdecimal():
             raise UsageError("--builtin wants FAMILY:N with FAMILY in %s"
                              % (", ".join(FAMILIES)))
-        n = int(num)
+        try:
+            n = int(num)
+        except ValueError:
+            raise UsageError("--builtin: N has %d digits, more than %d"
+                             % (len(num), sys.get_int_max_str_digits())
+                             ) from None
         return family, n, builtin_h(family, n)
     try:
         expr = hdsl.parse(args.h)

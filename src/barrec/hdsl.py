@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import operator
 import re
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -255,7 +256,13 @@ class _Parser:
         kind, text, offset = self.peek()
         if kind == "NAT":
             self.advance()
-            return Nat(int(text))
+            try:
+                return Nat(int(text))
+            except ValueError:
+                # Longer than the interpreter reads a decimal int from.
+                raise ParseError(offset, ("numeral of at most %d digits"
+                                          % sys.get_int_max_str_digits(),),
+                                 "numeral of %d digits" % len(text)) from None
         if kind == "IDENT":
             self.advance()
             if text not in scope:

@@ -19,8 +19,14 @@ removed.  Extending a sequence pushes onto the list it views when the view
 reaches its end, so a recursion that grows one sequence slot by slot keeps
 one list, and every state along the way is a view of it; a sibling that
 extends the same prefix by a different value copies that prefix once.
-``take`` copies nothing, so a short view keeps its whole buffer alive.  A
-``PartialFn`` keeps one sorted tuple of ``(index, value)`` entries and
+``take`` copies nothing, so a short view keeps its whole buffer alive.
+Each copy records the list it forked from and how many slots it shares
+with it, so ``overlay`` tells that its argument extends the state by
+following those records, in steps that count forks, not slots; only
+views with no such path have their slots compared.  A view caches its
+hash.
+
+A ``PartialFn`` keeps one sorted tuple of ``(index, value)`` entries and
 finds an index by bisection, so indices must be totally ordered.  Its
 ``update`` and ``merge`` keep the entry tuples they are given (``update``
 builds only the new entry, ``merge`` none), so every state a recursion
@@ -57,13 +63,21 @@ class FiniteSeq:
     when the view ends it, and reuses the next slot when it already holds
     the same object; only a sibling branch (a different value at a length
     the buffer has passed) copies the prefix into a buffer of its own.
+
+    ``_link`` records where the buffer forked: ``None`` for a buffer built
+    from items, else ``(old, k, old_link)``, saying that the first ``k``
+    slots of ``_buf`` are the first ``k`` slots of the list ``old``, object
+    for object, and ``old_link`` is ``old``'s own record.  A view made by
+    ``append`` onto its buffer or by ``take`` keeps its parent's record.
+    ``_hash`` caches the hash once it is asked for.
     """
 
-    __slots__ = ("_buf", "_n")
+    __slots__ = ("_buf", "_n", "_link", "_hash")
 
     def __init__(self, items: Iterable[Any] = ()):
         self._buf = list(items)
         self._n = len(self._buf)
+        self._link = None
 
     @property
     def items(self) -> tuple:
@@ -94,50 +108,64 @@ class FiniteSeq:
                                   or self._buf[:n] == other._buf[:n])
 
     def __hash__(self) -> int:
-        return hash(self.items)
+        try:
+            return self._hash
+        except AttributeError:
+            h = self._hash = hash(self.items)
+            return h
 
     def __repr__(self) -> str:
         return "FiniteSeq(%r)" % (self._buf[:self._n],)
 
     def append(self, x: Any) -> "FiniteSeq":
         """The one-element extension ``s * x``."""
-        buf, n = self._buf, self._n
+        buf, n, link = self._buf, self._n, self._link
         if len(buf) == n:
             buf.append(x)
         # Slot ``n`` is final once written, so reading it back also sees a
         # push that raced this one onto the same buffer.
         if buf[n] is not x:
+            link = (buf, n, link)
             buf = buf[:n]
             buf.append(x)
-        return _seq_view(buf, n + 1)
+        return _seq_view(buf, n + 1, link)
 
     def take(self, n: int) -> "FiniteSeq":
         """Initial segment of length ``n`` (all of ``s`` if ``n >= |s|``; a
         negative ``n`` drops that many slots from the end, as slicing
         does).  The segment is a view of the same buffer."""
-        return _seq_view(self._buf, slice(n).indices(self._n)[1])
+        return _seq_view(self._buf, slice(n).indices(self._n)[1], self._link)
 
     def overlay(self, other: "FiniteSeq") -> "FiniteSeq":
         """Merge of two sequences viewed as partial functions on an initial
         segment, with priority to ``self``.  The result has length
         ``max(|self|, |other|)``; it is ``other`` itself when ``other``
-        extends ``self`` slot for slot."""
+        extends ``self`` slot for slot.
+
+        ``other``'s fork records answer that without reading a slot when
+        they lead back to ``self``'s buffer through forks that each share
+        at least ``|self|`` slots; otherwise the slots are compared."""
         n = self._n
         if other._n <= n:
             return self
         buf = self._buf
-        if other._buf is buf or all(map(operator.is_, buf[:n], other._buf)):
+        theirs, link = other._buf, other._link
+        while theirs is not buf and link is not None and link[1] >= n:
+            theirs, _, link = link
+        if theirs is buf or all(map(operator.is_, buf[:n], other._buf)):
             return other
         merged = buf[:n]
         merged.extend(islice(other._buf, n, other._n))
-        return _seq_view(merged, other._n)
+        return _seq_view(merged, other._n, (buf, n, self._link))
 
 
-def _seq_view(buf: list, n: int) -> FiniteSeq:
-    """The view of the first ``n`` slots of ``buf``, sharing it."""
+def _seq_view(buf: list, n: int, link: "tuple | None") -> FiniteSeq:
+    """The view of the first ``n`` slots of ``buf``, sharing it, whose
+    buffer forked as ``link`` records."""
     s = _new(FiniteSeq)
     s._buf = buf
     s._n = n
+    s._link = link
     return s
 
 

@@ -335,10 +335,14 @@ def test_negative_env_fuel_exit_2(argv, monkeypatch, capsys):
     (["solve", "--builtin", "prod:\u00b2"], None),
     (["solve", "--builtin="], None),
     (["solve", "--builtin", "prod:4"], "\u00b2"),
-], ids=["superscript-n", "empty-builtin", "superscript-env-fuel"])
+    (["solve", "--h", "g(0) + " + "1" * 5000], None),
+    (["solve", "--builtin", "prod:" + "1" * 5000], None),
+], ids=["superscript-n", "empty-builtin", "superscript-env-fuel",
+        "5000-digit-dsl-numeral", "5000-digit-builtin-n"])
 def test_digit_like_or_empty_text_exit_2(argv, env_fuel, monkeypatch,
                                          capsys):
-    # "\u00b2".isdigit() holds, but int() refuses it.
+    # "\u00b2".isdigit() holds, but int() refuses it, as it refuses
+    # decimal text longer than sys.get_int_max_str_digits().
     if env_fuel is not None:
         monkeypatch.setenv("BARREC_FUEL", env_fuel)
     assert cli.main(argv) == 2

@@ -2,7 +2,7 @@
 
 The benchmark checks every cell's output against ``perfbench/golden.json``.
 This test reads that file (it imports nothing from ``perfbench/``) and
-runs seven of its cells in-process, so a change in suite counts, call
+runs eight of its cells in-process, so a change in suite counts, call
 counts or the generators' random stream fails here rather than only as
 ``correct: false`` in a benchmark run.
 """
@@ -35,6 +35,8 @@ def test_check_seed0_suite_counts(golden, capsys):
 @pytest.mark.parametrize("recursor,family,n", [
     ("spector", "leastinc", 30),
     ("spector", "prod", 10),
+    # The 4,097-slot carrier, with a sibling fork deep in its recursion.
+    ("spector", "prod", 12),
     ("symmetric", "contrived", 200),
     ("symmetric", "leastinc", 200),
 ])

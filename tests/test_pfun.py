@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from barrec.context import sibling_cache
-from barrec.pfun import (EMPTY, FiniteSeq, InfSeq, PartialFn,
+from barrec.pfun import (EMPTY, FiniteSeq, InfSeq, PartialFn, _seq_view,
                          bounded_search, extend_hat)
 
 indices = st.integers(min_value=0, max_value=30)
@@ -263,22 +263,41 @@ def test_bounded_search():
 # forces a sibling copy.
 seq_values = st.one_of(st.integers(0, 3),
                        st.integers(0, 3).map(lambda k: 10 ** 30 + k))
-seq_ops = st.lists(st.tuples(st.sampled_from(("append", "take")),
+seq_ops = st.lists(st.tuples(st.sampled_from(("append", "take", "overlay")),
                              st.integers(0, 1000), seq_values,
-                             st.integers(-10, 10)), max_size=40)
+                             st.integers(-10, 10), st.integers(0, 1000)),
+                   max_size=40)
 
 
 def _build_views(start, ops):
     """Pairs (view, model tuple), each grown from an arbitrary earlier
-    pair by ``append`` or ``take``."""
+    pair by ``append``, ``take`` or ``overlay``.  Each view is hashed as
+    it is made, so its cached hash predates the later growth of its
+    buffer."""
     pool = [(FiniteSeq(start), tuple(start))]
-    for op, pick, x, k in ops:
+    for op, pick, x, k, other in ops:
         s, model = pool[pick % len(pool)]
         if op == "append":
             pool.append((s.append(x), model + (x,)))
-        else:
+        elif op == "take":
             pool.append((s.take(k), model[:k]))
+        else:
+            t, mt = pool[other % len(pool)]
+            pool.append((s.overlay(t), model + mt[len(model):]))
+        hash(pool[-1][0])
     return pool
+
+
+def _assert_fork_records_hold(s):
+    """Each fork record on the way back from ``s``'s buffer names a list
+    whose first ``k`` slots are those of the list before it, object for
+    object."""
+    buf, link = s._buf, s._link
+    while link is not None:
+        old, k, link = link
+        assert len(buf) >= k and len(old) >= k
+        assert all(a is b for a, b in zip(buf[:k], old[:k]))
+        buf = old
 
 
 @given(st.lists(seq_values, max_size=4), seq_ops)
@@ -301,6 +320,7 @@ def test_finite_seq_views_match_tuple_model(start, ops):
             assert s.take(k) == FiniteSeq(model[:k])
         assert extend_hat(s, None).prefix(len(model) + 2) == \
             list(model) + [None, None]
+        _assert_fork_records_hold(s)
 
 
 @given(st.lists(seq_values, max_size=4), seq_ops)
@@ -310,10 +330,9 @@ def test_finite_seq_overlay_matches_tuple_model(start, ops):
         for t, mt in pool:
             merged = s.overlay(t)
             assert merged == FiniteSeq(ms + mt[len(ms):])
-            extends = len(mt) > len(ms) and all(
-                a is b for a, b in zip(ms, mt))
-            if extends:
-                assert merged is t
+            if len(mt) > len(ms):
+                assert (merged is t) == all(a is b for a, b in zip(ms, mt))
+            _assert_fork_records_hold(merged)
             assert (s == t) == (ms == mt)
             if ms == mt:
                 assert hash(s) == hash(t)
@@ -330,6 +349,71 @@ def test_sibling_appends_keep_their_own_values():
     equal_not_same = FiniteSeq((1, 2, int("1" + "0" * 30)))
     merged = equal_not_same.overlay(deeper)
     assert merged == deeper and merged is not deeper
+
+
+class _SliceCountingList(list):
+    """A list that counts the slices read from it; a slice is again such
+    a list, so a buffer copied from it counts its own."""
+
+    def __init__(self, items=()):
+        super().__init__(items)
+        self.slices = 0
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            self.slices += 1
+            return _SliceCountingList(list.__getitem__(self, i))
+        return list.__getitem__(self, i)
+
+
+def test_overlay_follows_fork_records_without_reading_slots():
+    # A chain of sibling forks at growing depths: each pre-fork state is
+    # a view of one buffer, and the carrier continues on a copy of it.
+    s = _seq_view(_SliceCountingList((0,)), 1, None)
+    before_fork = []
+    for depth in range(5):
+        for _ in range(depth + 1):
+            s = s.append(depth)
+        before_fork.append(s)
+        s.append(10 ** 30 + depth)
+        s = s.append(-10 ** 30 - depth)
+    final = s.append(7)
+    buffers = {id(state._buf) for state in before_fork}
+    assert len(buffers) == len(before_fork)
+    for state in before_fork:
+        read = state._buf.slices
+        assert state.overlay(final) is final
+        assert state._buf.slices == read
+    # A merged copy records the buffer of the side it took its prefix from.
+    sibling = before_fork[2].append(5)
+    merged = sibling.overlay(final)
+    assert merged is not final
+    assert merged.items == sibling.items + final.items[len(sibling):]
+    longer = merged.append(8)
+    read = sibling._buf.slices
+    assert sibling.overlay(longer) is longer
+    assert sibling._buf.slices == read
+    # Without a record reaching the state's buffer, the slots are compared.
+    unlinked = FiniteSeq(final)
+    read = before_fork[0]._buf.slices
+    assert before_fork[0].overlay(unlinked) is unlinked
+    assert before_fork[0]._buf.slices == read + 1
+
+
+def test_finite_seq_hashes_its_slots_once():
+    hashed = []
+
+    class Slot:
+        def __hash__(self):
+            hashed.append(self)
+            return 1
+
+    s = FiniteSeq((Slot(), Slot())).append(Slot())
+    assert hash(s) == hash(s) == hash(s.items)
+    assert len(hashed) == 3 + 3
+    t = s.take(2)
+    assert hash(t) == hash(t)
+    assert len(hashed) == 6 + 2
 
 
 # Index domains of the symmetric recursor: naturals, booleans, pairs.
