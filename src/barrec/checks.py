@@ -1,15 +1,16 @@
 """Seeded verification suites shared by the CLI and the test suite.
 
-Each suite runs a fixed number of generated cases plus the relevant fixed
-instances, and reports a pass/fail count with the first few failure
-descriptions.  All randomness flows from one seed, so a (seed, cases)
-pair pins the exact workload.
+Each suite runs generated cases and, where it has them, built-in
+instances; ``cases`` bounds every loop of a suite.  A suite reports a
+pass/fail count with the first few failure descriptions.  All randomness
+flows from one seed, so a (seed, cases) pair pins the exact workload.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
+from itertools import islice
 from typing import Iterator
 
 from . import gen, hdsl
@@ -147,6 +148,11 @@ def suite_recursors(seed: int = 0, cases: int = 200) -> SuiteResult:
     return res
 
 
+def _builtin_cells() -> Iterator[tuple]:
+    """Every built-in family over its ``bench`` range, as ``(family, n)``."""
+    return ((family, n) for family, ns in BENCH_RANGES.items() for n in ns)
+
+
 def suite_spector(seed: int = 0, cases: int = 100) -> SuiteResult:
     """Both solvers satisfy the three equations, on generated ground
     instances and on the built-in functional families."""
@@ -159,15 +165,13 @@ def suite_spector(seed: int = 0, cases: int = 100) -> SuiteResult:
             res.check(verify_equations(sol, cp),
                       "case %d: %s solution fails the equations"
                       % (case, tag))
-    for family, ns in BENCH_RANGES.items():
-        for n in ns:
-            cp = make_choice_params(builtin_h(family, n))
-            for tag, solver in (("seq", solve_spector),
-                                ("sym", solve_symmetric)):
-                sol = solver(cp, EvalContext())
-                res.check(verify_equations(sol, cp),
-                          "%s n=%d: %s solution fails the equations"
-                          % (family, n, tag))
+    for family, n in islice(_builtin_cells(), cases):
+        cp = make_choice_params(builtin_h(family, n))
+        for tag, solver in (("seq", solve_spector), ("sym", solve_symmetric)):
+            sol = solver(cp, EvalContext())
+            res.check(verify_equations(sol, cp),
+                      "%s n=%d: %s solution fails the equations"
+                      % (family, n, tag))
     return res
 
 
@@ -239,14 +243,14 @@ def interdef_differential(rng: random.Random, cases: int) -> Iterator[tuple]:
 
 def suite_interdef(seed: int = 0, cases: int = 200) -> SuiteResult:
     """Differential equivalence of each translation against the direct
-    engine, plus the staged-representation read-back identity on 100
+    engine, plus the staged-representation read-back identity on
     generated threads."""
     rng = random.Random(seed)
     res = SuiteResult("interdef")
     for case, direction, agree in interdef_differential(rng, cases):
         res.check(agree, "case %d: %s translation differs"
                   % (case, direction))
-    for case in range(100):
+    for case in range(min(cases, 100)):
         control, u = gen.gen_thread_input(rng)
         params = replace(gen.gen_sbr_instance(rng)[0], control=control)
         res.check(theta_from_br(params, u) == theta(params, u),
@@ -276,18 +280,16 @@ def suite_interdef(seed: int = 0, cases: int = 200) -> SuiteResult:
 
 
 def suite_counterexamples(seed: int = 0, cases: int = 100) -> SuiteResult:
-    """Collision extraction is valid for every built-in family over its
-    table range and for generated DSL functionals, on both solvers."""
+    """Collision extraction is valid for the built-in families over their
+    table ranges and for generated DSL functionals, on both solvers."""
     rng = random.Random(seed)
     res = SuiteResult("counterexamples")
-    for family, ns in BENCH_RANGES.items():
-        for n in ns:
-            h = builtin_h(family, n)
-            for recursor in RECURSORS:
-                c = counterexample(h, recursor, EvalContext())
-                res.check(verify_counterexample(h, c),
-                          "%s n=%d %s: invalid collision"
-                          % (family, n, recursor))
+    for family, n in islice(_builtin_cells(), cases):
+        h = builtin_h(family, n)
+        for recursor in RECURSORS:
+            c = counterexample(h, recursor, EvalContext())
+            res.check(verify_counterexample(h, c),
+                      "%s n=%d %s: invalid collision" % (family, n, recursor))
     for case in range(cases):
         _, h = gen.gen_h_for_counterexample(rng)
         for recursor in RECURSORS:
@@ -299,15 +301,15 @@ def suite_counterexamples(seed: int = 0, cases: int = 100) -> SuiteResult:
 
 def suite_dsl(seed: int = 0, cases: int = 200) -> SuiteResult:
     """DSL conformance: built-in families against their DSL renderings
-    on 100 generated sequences each, and ``cases`` printer round-trips."""
+    on generated sequences, and printer round-trips."""
     rng = random.Random(seed)
     res = SuiteResult("dsl")
-    for family in FAMILIES:
+    for family in FAMILIES[:cases]:
         n = rng.randint(2, 6)
         href = builtin_h(family, n)
         hdsl_fn = hdsl.as_functional(hdsl.parse(builtin_dsl(family, n)))
         agree = True
-        for _ in range(100):
+        for _ in range(min(cases, 100)):
             gamma = gen.gen_alpha(rng)
             if href(gamma) != hdsl_fn(gamma):
                 agree = False
@@ -332,10 +334,7 @@ ALL_SUITES = {
 
 def run_suites(names=None, seed: int = 0, cases: int | None = None) -> list:
     """Run the named suites (all by default); ``cases`` overrides each
-    suite's count of generated cases when given.  It does not bound the
-    fixed part of a suite: every built-in family over its ``BENCH_RANGES``
-    in ``spector`` and ``counterexamples``, 100 staged thread cases in
-    ``interdef`` and 100 sequences per family in ``dsl``."""
+    suite's size when given."""
     kwargs = {} if cases is None else {"cases": cases}
     return [ALL_SUITES[name](seed=seed, **kwargs)
             for name in names or ALL_SUITES]

@@ -377,11 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--suite", action="append",
                          choices=tuple(checks.ALL_SUITES))
     p_check.add_argument("--cases", type=_count, default=None,
-                         help="generated cases per suite; fixed work runs "
-                              "regardless: every built-in family over its "
-                              "bench range in spector and counterexamples, "
-                              "100 staged thread cases in interdef, 100 "
-                              "sequences per family in dsl")
+                         help="bound on every loop of each suite "
+                              "(default: each suite's own)")
     p_check.add_argument("--seed", type=int, default=0)
     p_check.set_defaults(fn=cmd_check)
 

@@ -142,9 +142,6 @@ def gen_choice_instance(rng: random.Random) -> ChoiceParams:
 
 # -- Control DSL terms. ------------------------------------------------------
 
-_CMP_OPS = ("<", "<=", "=", "!=")
-
-
 def _gen_dsl_expr(rng: random.Random, scope: tuple, depth: int) -> hdsl.Expr:
     if depth <= 0:
         choices = ["nat", "gamma"] + (["var"] if scope else [])
@@ -157,7 +154,7 @@ def _gen_dsl_expr(rng: random.Random, scope: tuple, depth: int) -> hdsl.Expr:
     kind = rng.randrange(8)
     sub = depth - 1
     if kind in (0, 1):
-        op = rng.choice(("+", "-", "*", "^"))
+        op = rng.choice(hdsl.ARITH_OPS)
         if op == "^":
             # Small exponents keep generated functionals cheap to run.
             return hdsl.BinOp(op, _gen_dsl_expr(rng, scope, sub),
@@ -185,7 +182,7 @@ def _gen_dsl_expr(rng: random.Random, scope: tuple, depth: int) -> hdsl.Expr:
 def _gen_dsl_cond(rng: random.Random, scope: tuple, depth: int) -> hdsl.Cond:
     def cmp() -> hdsl.Cond:
         d = max(depth - 1, 0)
-        return hdsl.Cmp(rng.choice(_CMP_OPS), _gen_dsl_expr(rng, scope, d),
+        return hdsl.Cmp(rng.choice(hdsl.CMP_OPS), _gen_dsl_expr(rng, scope, d),
                         _gen_dsl_expr(rng, scope, d))
 
     if depth > 0 and rng.random() < 0.25:

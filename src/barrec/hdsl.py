@@ -150,9 +150,6 @@ KEYWORDS = frozenset(("g", "prod", "sum", "least", "greatest", "st", "else",
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([a-z][a-z0-9]*)|(<=|!=|[-+*^():<=]))")
 
-_ATOM_HEADS = ("NAT", "IDENT", "g", "(", "prod", "sum", "least", "greatest",
-               "if")
-
 # Binary operators by precedence, loosest first.
 _BINARY = (("+", "-"), ("*",), ("^",))
 _PREC = {op: prec for prec, ops in enumerate(_BINARY) for op in ops}
@@ -161,6 +158,7 @@ _PREC = {op: prec for prec, ops in enumerate(_BINARY) for op in ops}
 # binary operator or a comparison the printer puts them in parentheses.
 _GREEDY = (Fold, Search, If)
 _GREEDY_HEADS = ("prod", "sum", "least", "greatest", "if")
+_ATOM_HEADS = ("NAT", "IDENT", "g", "(") + _GREEDY_HEADS
 
 # The deepest nesting ``parse`` accepts.  Each atom (a parenthesised term
 # included) and each ``not`` is one level, and a greedy atom that is an
@@ -319,8 +317,8 @@ class _Parser:
     def parse_ccmp(self, scope: frozenset) -> Cond:
         left = self.parse_expr(scope, operand=True)
         kind = self.peek()[0]
-        if kind not in ("<", "<=", "=", "!="):
-            raise self.error(("<", "<=", "=", "!="))
+        if kind not in CMP_OPS:
+            raise self.error(CMP_OPS)
         self.advance()
         return Cmp(kind, left, self.parse_expr(scope, operand=True))
 
@@ -339,6 +337,8 @@ _ARITH = {"+": operator.add, "-": lambda a, b: a - b if a > b else 0,
           "*": operator.mul, "^": operator.pow}
 _CMP = {"<": operator.lt, "<=": operator.le, "=": operator.eq,
         "!=": operator.ne}
+ARITH_OPS = tuple(_ARITH)
+CMP_OPS = tuple(_CMP)
 # The operator of each fold and its unit.
 _FOLD = {"prod": (operator.mul, 1), "sum": (operator.add, 0)}
 

@@ -62,7 +62,8 @@ class FiniteSeq:
     made, however far its buffer grows.  ``append`` pushes onto the buffer
     when the view ends it, and reuses the next slot when it already holds
     the same object; only a sibling branch (a different value at a length
-    the buffer has passed) copies the prefix into a buffer of its own.
+    the buffer has passed) copies the prefix into a buffer of its own.  An
+    empty view shares nothing, so its ``append`` starts a buffer of its own.
 
     ``_link`` records where the buffer forked: ``None`` for a buffer built
     from items, else ``(old, k, old_link)``, saying that the first ``k``
@@ -120,6 +121,8 @@ class FiniteSeq:
     def append(self, x: Any) -> "FiniteSeq":
         """The one-element extension ``s * x``."""
         buf, n, link = self._buf, self._n, self._link
+        if not n:
+            return _seq_view([x], 1, None)
         if len(buf) == n:
             buf.append(x)
         # Slot ``n`` is final once written, so reading it back also sees a
@@ -227,12 +230,10 @@ class PartialFn:
         """The update ``u (+) (n, x)``: extend at ``n`` unless ``n`` is
         already defined, in which case the existing value wins and the
         result is ``u`` itself."""
-        if self.defined_at(n):
-            return self
-        # A second bisection, so that the lookup stays one ``defined_at``
-        # call, the unit the benchmark's layer trace counts.
         entries = self.entries
         i = bisect_left(entries, n, key=_index)
+        if i < len(entries) and entries[i][0] == n:
+            return self
         return _pf_sorted(entries[:i] + ((n, x),) + entries[i:])
 
     def merge(self, other: "PartialFn") -> "PartialFn":

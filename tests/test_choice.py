@@ -174,6 +174,13 @@ def test_memoized_sequential_carrier_memory_is_linear():
     assert peak < 600_000
 
 
+def test_solving_leaves_the_shared_empty_sequence_empty():
+    # Growing a carrier from the module-wide empty sequence starts a list
+    # of its own, so no solved carrier stays alive in EMPTY_SEQ's list.
+    solve_spector(make_choice_params(builtin_h("prod", 4)), EvalContext())
+    assert EMPTY_SEQ._buf == []
+
+
 def test_memoized_symmetric_carrier_memory_shares_entries():
     # Each choice step merges the state into the child carrier, and the
     # memo keeps every merged state.  When merge built fresh (index,

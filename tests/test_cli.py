@@ -257,6 +257,31 @@ def test_check_subcommand(suite, capsys):
     assert suite in out and "failed=0" in out
 
 
+def _suite_counts(out):
+    counts = {}
+    for line in out.splitlines():
+        name, passed, failed = line.split()
+        counts[name] = (int(passed.split("=")[1]), int(failed.split("=")[1]))
+    return counts
+
+
+def test_check_cases_0_runs_nothing(capsys):
+    rc, out = run_main(["check", "--cases", "0"], capsys)
+    assert rc == 0
+    assert _suite_counts(out) == {name: (0, 0) for name in checks.ALL_SUITES}
+
+
+def test_check_cases_bounds_the_builtin_and_staged_loops(capsys):
+    # One generated case, one built-in cell, one staged thread case and
+    # one DSL family on one sequence.
+    rc, out = run_main(["check", "--seed", "1", "--cases", "1"], capsys)
+    assert rc == 0
+    counts = _suite_counts(out)
+    for name, most in (("spector", 4), ("counterexamples", 4),
+                       ("interdef", 6), ("dsl", 2)):
+        assert 0 < counts[name][0] <= most and counts[name][1] == 0, name
+
+
 def test_thread_subcommand_json(capsys):
     rc, out = run_main(["thread", "--h", "g(0)", "--u", '{"0": 3}',
                         "--steps", "4", "--format", "json"], capsys)

@@ -2,7 +2,7 @@
 
 The benchmark checks every cell's output against ``perfbench/golden.json``.
 This test reads that file (it imports nothing from ``perfbench/``) and
-runs eight of its cells in-process, so a change in suite counts, call
+runs ten of its cells in-process, so a change in suite counts, call
 counts or the generators' random stream fails here rather than only as
 ``correct: false`` in a benchmark run.
 """
@@ -23,13 +23,14 @@ def golden():
     return json.loads(GOLDEN.read_text())["cells"]
 
 
-def test_check_seed0_suite_counts(golden, capsys):
-    assert cli.main(["check", "--seed", "0", "--cases", "150"]) == 0
+@pytest.mark.parametrize("seed", [0, 1, 63])
+def test_check_suite_counts(seed, golden, capsys):
+    assert cli.main(["check", "--seed", str(seed), "--cases", "150"]) == 0
     seen = {}
     for line in capsys.readouterr().out.splitlines():
         name, passed, failed = line.split()
         seen[name] = [int(passed.split("=")[1]), int(failed.split("=")[1])]
-    assert seen == golden["check:seed0:cases150"]
+    assert seen == golden["check:seed%d:cases150" % seed]
 
 
 @pytest.mark.parametrize("recursor,family,n", [

@@ -338,6 +338,16 @@ def test_finite_seq_overlay_matches_tuple_model(start, ops):
                 assert hash(s) == hash(t)
 
 
+def test_empty_view_appends_to_a_list_of_its_own():
+    for empty in (FiniteSeq(), FiniteSeq((1, 2)).take(0)):
+        before = list(empty._buf)
+        one, again = empty.append(1), empty.append(1)
+        assert one == again == FiniteSeq((1,))
+        assert one._buf is not again._buf and one._link is None
+        assert empty._buf == before
+        assert empty.overlay(one) is one
+
+
 def test_sibling_appends_keep_their_own_values():
     root = FiniteSeq((1, 2))
     left, right = root.append(10 ** 30), root.append(-10 ** 30)
