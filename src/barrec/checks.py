@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterator
 
 from . import gen, hdsl
@@ -158,20 +158,16 @@ def suite_spector(seed: int = 0, cases: int = 100) -> SuiteResult:
     instances and on the built-in functional families."""
     rng = random.Random(seed)
     res = SuiteResult("spector")
-    for case in range(cases):
-        cp = gen.gen_choice_instance(rng)
+    instances = chain(
+        (("case %d" % case, gen.gen_choice_instance(rng))
+         for case in range(cases)),
+        (("%s n=%d" % (family, n), make_choice_params(builtin_h(family, n)))
+         for family, n in islice(_builtin_cells(), cases)))
+    for label, cp in instances:
         for tag, solver in (("seq", solve_spector), ("sym", solve_symmetric)):
             sol = solver(cp, EvalContext())
             res.check(verify_equations(sol, cp),
-                      "case %d: %s solution fails the equations"
-                      % (case, tag))
-    for family, n in islice(_builtin_cells(), cases):
-        cp = make_choice_params(builtin_h(family, n))
-        for tag, solver in (("seq", solve_spector), ("sym", solve_symmetric)):
-            sol = solver(cp, EvalContext())
-            res.check(verify_equations(sol, cp),
-                      "%s n=%d: %s solution fails the equations"
-                      % (family, n, tag))
+                      "%s: %s solution fails the equations" % (label, tag))
     return res
 
 
@@ -284,18 +280,16 @@ def suite_counterexamples(seed: int = 0, cases: int = 100) -> SuiteResult:
     table ranges and for generated DSL functionals, on both solvers."""
     rng = random.Random(seed)
     res = SuiteResult("counterexamples")
-    for family, n in islice(_builtin_cells(), cases):
-        h = builtin_h(family, n)
+    instances = chain(
+        (("%s n=%d" % (family, n), builtin_h(family, n))
+         for family, n in islice(_builtin_cells(), cases)),
+        (("dsl case %d" % case, gen.gen_h_for_counterexample(rng)[1])
+         for case in range(cases)))
+    for label, h in instances:
         for recursor in RECURSORS:
             c = counterexample(h, recursor, EvalContext())
             res.check(verify_counterexample(h, c),
-                      "%s n=%d %s: invalid collision" % (family, n, recursor))
-    for case in range(cases):
-        _, h = gen.gen_h_for_counterexample(rng)
-        for recursor in RECURSORS:
-            c = counterexample(h, recursor, EvalContext())
-            res.check(verify_counterexample(h, c),
-                      "dsl case %d %s: invalid collision" % (case, recursor))
+                      "%s %s: invalid collision" % (label, recursor))
     return res
 
 

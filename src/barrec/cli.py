@@ -155,6 +155,10 @@ def _rows_to_json(rows: list) -> str:
 def _run_cell(h, family, n, recursor, ctx) -> dict:
     started = time.perf_counter()
     c = counterexample(h, recursor, ctx)
+    # The report reads the prefix point by point, and the fuel left
+    # bounds that work as it bounds the recursion's.
+    if c.prefix_length() > ctx.fuel - ctx.calls - ctx.ticks:
+        raise FuelExhausted(ctx.metrics())
     valid = verify_counterexample(h, c)
     row = report_row(family, n, recursor, c.metrics, c, valid)
     row["wall_ms"] = _ms(started)
@@ -344,8 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, with_h=False):
         p.add_argument("--fuel", type=_count, default=None,
-                       help="budget of recursor entries and thread steps "
-                            "(env BARREC_FUEL)")
+                       help="budget of recursor entries, thread steps and "
+                            "printed prefix points (env BARREC_FUEL)")
         p.add_argument("--format", choices=("text", "csv", "json"),
                        default="text")
         p.add_argument("--output", default=None,

@@ -358,10 +358,11 @@ def _slot(scope: tuple, name: str) -> int:
     return len(scope) - 1 - scope[::-1].index(name)
 
 
-def _compile(e: Expr, scope: tuple, width: list) -> Callable:
-    """``e`` as a closure ``(gamma, slots) -> int``.  ``scope`` names the
-    variable held in each slot, outermost binder first; ``width[0]``
-    grows to the number of slots the whole term needs."""
+def _compile(e: "Expr | Cond", scope: tuple, width: list) -> Callable:
+    """``e`` as a closure ``(gamma, slots) -> int``, or ``-> bool`` for a
+    condition.  ``scope`` names the variable held in each slot, outermost
+    binder first; ``width[0]`` grows to the number of slots the whole term
+    needs."""
     if isinstance(e, Nat):
         value = e.value
         return lambda g, s: value
@@ -378,15 +379,12 @@ def _compile(e: Expr, scope: tuple, width: list) -> Callable:
     if isinstance(e, BinOp):
         head, links = _spine(e, BinOp)
         head = _compile(head, scope, width)
+        # Likewise the numeral of ``i + 1``.
+        if len(links) == 1 and isinstance(e.right, Nat):
+            op, value = _ARITH[e.op], e.right.value
+            return lambda g, s: op(head(g, s), value)
         pairs = [(_ARITH[link.op], _compile(link.right, scope, width))
                  for link in links]
-        if len(pairs) == 1:
-            (op, right), = pairs
-            # Likewise the numeral of ``i + 1``.
-            if isinstance(links[0].right, Nat):
-                value = links[0].right.value
-                return lambda g, s: op(head(g, s), value)
-            return lambda g, s: op(head(g, s), right(g, s))
 
         def fold_chain(g, s):
             acc = head(g, s)
@@ -410,7 +408,7 @@ def _compile(e: Expr, scope: tuple, width: list) -> Callable:
                     acc = op(acc, body(g, s))
                 return acc
             return fold_range
-        cond = _compile_cond(e.cond, inner, width)
+        cond = _compile(e.cond, inner, width)
         orelse = _compile(e.orelse, scope, width)
         least = e.op == "least"
 
@@ -423,33 +421,23 @@ def _compile(e: Expr, scope: tuple, width: list) -> Callable:
             return orelse(g, s)
         return search
     if isinstance(e, If):
-        cond = _compile_cond(e.cond, scope, width)
+        cond = _compile(e.cond, scope, width)
         then = _compile(e.then, scope, width)
         orelse = _compile(e.orelse, scope, width)
         return lambda g, s: then(g, s) if cond(g, s) else orelse(g, s)
-    raise TypeError("not an expression node: %r" % (e,))
-
-
-def _compile_cond(c: Cond, scope: tuple, width: list) -> Callable:
-    """``c`` as a closure ``(gamma, slots) -> bool``, like ``_compile``."""
-    if isinstance(c, Cmp):
-        op = _CMP[c.op]
-        left = _compile(c.left, scope, width)
-        right = _compile(c.right, scope, width)
+    if isinstance(e, Cmp):
+        op = _CMP[e.op]
+        left = _compile(e.left, scope, width)
+        right = _compile(e.right, scope, width)
         return lambda g, s: op(left(g, s), right(g, s))
-    if isinstance(c, Not):
-        inner = _compile_cond(c.cond, scope, width)
+    if isinstance(e, Not):
+        inner = _compile(e.cond, scope, width)
         return lambda g, s: not inner(g, s)
-    if isinstance(c, Conn):
-        head, links = _spine(c, Conn)
-        head = _compile_cond(head, scope, width)
-        pairs = [(link.op == "and", _compile_cond(link.right, scope, width))
+    if isinstance(e, Conn):
+        head, links = _spine(e, Conn)
+        head = _compile(head, scope, width)
+        pairs = [(link.op == "and", _compile(link.right, scope, width))
                  for link in links]
-        if len(pairs) == 1:
-            (is_and, right), = pairs
-            if is_and:
-                return lambda g, s: head(g, s) and right(g, s)
-            return lambda g, s: head(g, s) or right(g, s)
 
         def fold_chain(g, s):
             acc = head(g, s)
@@ -460,7 +448,7 @@ def _compile_cond(c: Cond, scope: tuple, width: list) -> Callable:
                     acc = right(g, s)
             return acc
         return fold_chain
-    raise TypeError("not a condition node: %r" % (c,))
+    raise TypeError("not a term or condition node: %r" % (e,))
 
 
 def as_functional(e: Expr) -> Callable[[InfSeq], int]:

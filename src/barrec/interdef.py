@@ -122,17 +122,16 @@ def diag_infinite(alpha: InfSeq, default: Any) -> InfSeq:
     return InfSeq(at)
 
 
-def _restart(k: Callable[[YPair], Any], ds: PartialFn, pos: int,
-             zero_cont: Callable[[PartialFn, Any], Any]
-             ) -> Callable[[PartialFn, Any], Any]:
-    """The restart continuation of an unfilled position ``pos``: splice
-    the value ``x`` at ``pos`` and the later state ``v`` above it into
-    ``ds``, and hand the resulting slot to the sequential continuation
-    ``k``."""
-    def restart(v: PartialFn, x: Any) -> Any:
-        return k(YPair(ds.splice(pos, x, v), zero_cont))
-
-    return restart
+def _slot(ds: PartialFn, pos: int, k: Callable[[YPair], Any],
+          zero_cont: Callable[[PartialFn, Any], Any]) -> YPair:
+    """The staging slot at ``pos`` over the diagonal state ``ds``.  Where
+    ``ds`` defines ``pos`` it holds the zero continuation; otherwise it
+    holds a restart, which splices the value ``x`` at ``pos`` and the later
+    state ``v`` above it into ``ds`` and hands the resulting slot to the
+    sequential continuation ``k``."""
+    if ds.defined_at(pos):
+        return YPair(ds, zero_cont)
+    return YPair(ds, lambda v, x: k(YPair(ds.splice(pos, x, v), zero_cont)))
 
 
 def _lift_staged(params: RecursorParams,
@@ -145,10 +144,7 @@ def _lift_staged(params: RecursorParams,
         return params.control(diag_infinite(alpha, params.default))
 
     def step(s: FiniteSeq, n: int, p: Callable[[YPair], Any]) -> Any:
-        ds = diag_finite(s)
-        if ds.defined_at(n):
-            return p(YPair(ds, zero_cont))
-        return p(YPair(ds, _restart(p, ds, n, zero_cont)))
+        return p(_slot(diag_finite(s), n, p, zero_cont))
 
     def body(s: FiniteSeq) -> Any:
         ds = diag_finite(s)
@@ -201,14 +197,11 @@ def _build_stages(params: RecursorParams, decomp: list, ctx: EvalContext
             ds = diag_finite(FiniteSeq(slots))
             new_slots = list(slots)
             for pos in range(len(slots), n):
-                cont = zero_cont
-                if not ds.defined_at(pos):
-                    def rerun(slot: YPair,
-                              built: FiniteSeq = FiniteSeq(new_slots)) -> Any:
-                        return br(lifted, built.append(slot), ctx)
+                def rerun(slot: YPair,
+                          built: FiniteSeq = FiniteSeq(new_slots)) -> Any:
+                    return br(lifted, built.append(slot), ctx)
 
-                    cont = _restart(rerun, ds, pos, zero_cont)
-                new_slots.append(YPair(ds, cont))
+                new_slots.append(_slot(ds, pos, rerun, zero_cont))
             new_slots.append(YPair(thread, zero_cont))
             slots = new_slots
         stages.append(FiniteSeq(slots))

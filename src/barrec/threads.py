@@ -41,10 +41,6 @@ class ThreadStep(NamedTuple):
     defined: bool
     value: Any = None
 
-    def to_json(self) -> dict:
-        return {"n": self.n, "defined": self.defined,
-                "value": self.value if self.defined else None}
-
 
 class ThreadTrace(NamedTuple):
     """A step-by-step record of a thread construction."""
@@ -53,7 +49,7 @@ class ThreadTrace(NamedTuple):
     final: PartialFn
 
     def to_json(self) -> dict:
-        return {"steps": [s.to_json() for s in self.steps],
+        return {"steps": [s._asdict() for s in self.steps],
                 "final": self.final.to_json()}
 
 

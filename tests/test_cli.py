@@ -199,6 +199,25 @@ def test_bench_keeps_rows_when_a_cell_recurses_too_deep(capsys):
             ("memoized", "100", "", "fuel-exhausted")]
 
 
+def test_fuel_bounds_the_printed_prefix(capsys):
+    # prod:12 on the demand-driven solver makes a few calls but names
+    # i = 4096, so its report reads a prefix of 4,097 points of each
+    # sequence.  The fuel left after the solve must cover that prefix.
+    argv = ["solve", "--builtin", "prod:12", "--recursor", "symmetric",
+            "--format", "csv"]
+    assert cli.main(argv + ["--fuel", "4000"]) == 3
+    assert capsys.readouterr().err == "error: fuel exhausted\n"
+    assert cli.main(argv + ["--fuel", "5000"]) == 0
+    capsys.readouterr()
+    rc, out = run_main(["bench", "--family", "prod", "--n", "12",
+                        "--recursor", "symmetric", "--fuel", "4000",
+                        "--format", "csv"], capsys)
+    assert rc == 0
+    rows = list(csv.DictReader(out.splitlines()))
+    assert [(r["i"], r["error"]) for r in rows] \
+        == [("", "fuel-exhausted")] * 2
+
+
 def test_bench_text_marks_error_rows():
     def row(mode, error):
         return {"family": "prodpow", "n": 5, "recursor": "spector",

@@ -2,6 +2,7 @@
 
 import random
 import sys
+from itertools import product
 from dataclasses import fields
 
 import pytest
@@ -289,3 +290,30 @@ def test_continuity_per_evaluation():
     result = as_functional(e)(base)
     twin = InfSeq(lambda i: i + 1 if i in reads else 99)
     assert as_functional(e)(twin) == result
+
+
+@pytest.mark.parametrize("cond, reference", [
+    ("g(0) = 1 and g(1) = 1", lambda g: g(0) == 1 and g(1) == 1),
+    ("g(0) = 1 or g(1) = 1", lambda g: g(0) == 1 or g(1) == 1),
+    ("g(0) = 1 and g(1) = 1 or g(2) = 1 and g(3) = 1",
+     lambda g: ((g(0) == 1 and g(1) == 1) or g(2) == 1) and g(3) == 1),
+    ("g(0) = 1 or g(1) = 1 or g(2) = 1",
+     lambda g: g(0) == 1 or g(1) == 1 or g(2) == 1),
+], ids=["and", "or", "mixed-chain", "or-chain"])
+def test_connectives_read_the_right_side_only_when_the_left_does_not_decide(
+        cond, reference):
+    # A connective chain is left-nested; each link reads its right side
+    # only when the value so far does not decide the link, as Python's
+    # ``and``/``or`` do.  The reads of both, in order, must agree.
+    h = as_functional(parse("if %s then 1 else 0" % cond))
+    for bits in product((0, 1), repeat=4):
+        def recording(reads):
+            return InfSeq(lambda i: (reads.append(i), bits[i])[1])
+        got, want = [], []
+        assert h(recording(got)) == int(reference(recording(want)))
+        assert got == want, bits
+
+
+def test_compile_rejects_a_non_node():
+    with pytest.raises(TypeError):
+        as_functional("g(0)")
