@@ -61,10 +61,7 @@ def suite_threads(seed: int = 0, cases: int = 500) -> SuiteResult:
         if rng.random() < 0.5:
             u = thread_of_total(control, alpha, rng.randint(0, 6), 0)
         else:
-            pairs = {}
-            for _ in range(rng.randint(0, 4)):
-                pairs[rng.randint(0, 7)] = rng.randint(0, 5)
-            u = PartialFn(pairs.items())
+            u = gen.gen_partial(rng, 4)
 
         prev = thread_of_partial(control, u, 0, 0)
         mono = True

@@ -13,6 +13,11 @@ non-negative integer where no ``--fuel`` overrides it, or an unwritable
 3 fuel exhausted, 4 failed verification, 5 recursion too deep (the
 sequential solver recurses once per carrier slot, so a control with
 values in the thousands outgrows the interpreter's recursion limit).
+``--fuel`` bounds recursor entries plus thread steps, and what is left
+of it after a solve must cover both printed prefixes, ``alpha`` and
+``beta``, ``2 * (max(i, 8) + 1)`` points; ``EvalContext.require`` decides
+both.  ``solve`` and ``bench`` print text, CSV or JSON; ``thread`` prints
+text or JSON.
 ``bench`` reports a cell that runs out of fuel or recurses too deep as a
 row with an ``error`` field and still exits 0.
 CSV and JSON output is byte-deterministic for a fixed configuration
@@ -155,10 +160,9 @@ def _rows_to_json(rows: list) -> str:
 def _run_cell(h, family, n, recursor, ctx) -> dict:
     started = time.perf_counter()
     c = counterexample(h, recursor, ctx)
-    # The report reads the prefix point by point, and the fuel left
-    # bounds that work as it bounds the recursion's.
-    if c.prefix_length() > ctx.fuel - ctx.calls - ctx.ticks:
-        raise FuelExhausted(ctx.metrics())
+    # The report reads both printed prefixes point by point, and the fuel
+    # left bounds that work as it bounds the recursion's.
+    ctx.require(2 * c.prefix_length())
     valid = verify_counterexample(h, c)
     row = report_row(family, n, recursor, c.metrics, c, valid)
     row["wall_ms"] = _ms(started)
@@ -346,12 +350,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "verification suites.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_h=False):
+    def add_common(p, formats=("text", "csv", "json"), with_h=False):
         p.add_argument("--fuel", type=_count, default=None,
                        help="budget of recursor entries, thread steps and "
-                            "printed prefix points (env BARREC_FUEL)")
-        p.add_argument("--format", choices=("text", "csv", "json"),
-                       default="text")
+                            "the points of both printed prefixes "
+                            "(env BARREC_FUEL)")
+        p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--output", default=None,
                        help="write to a file instead of stdout")
         if with_h:
@@ -387,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.set_defaults(fn=cmd_check)
 
     p_thread = sub.add_parser("thread", help="print a thread construction")
-    add_common(p_thread, with_h=True)
+    add_common(p_thread, formats=("text", "json"), with_h=True)
     p_thread.add_argument("--u", default=None,
                           help='partial function as JSON, e.g. {"1": 1}')
     p_thread.add_argument("--steps", type=_count, default=None)

@@ -4,7 +4,8 @@ One ``EvalContext`` instruments exactly one evaluation; contexts are never
 shared across concurrent evaluations.  ``calls`` counts entries into a
 recursor body.  Auxiliary bounded unfoldings (thread construction,
 termination-bound searches) are charged against the same fuel budget
-through ``tick`` but are not reported as recursor calls.
+through ``tick`` but are not reported as recursor calls.  Whether work
+fits the budget is decided in one place, ``EvalContext.require``.
 
 The evaluation modes are declared once, in ``MODES``; the CLI's
 ``--mode`` choices and the ``bench`` columns read them from there.  In
@@ -81,19 +82,25 @@ class EvalContext:
         self.ticks = 0
         self.memo: dict | None = {} if mode == MEMOIZED else None
 
+    def require(self, work: int) -> None:
+        """Refuse ``work`` more units of fuel unless they fit what is left:
+        ``calls + ticks + work`` may not exceed ``fuel``.  This is the one
+        fuel rule; ``charge`` and ``tick`` ask it before they count, and a
+        report asks it for the points it reads without counting them."""
+        if self.calls + self.ticks + work > self.fuel:
+            raise FuelExhausted(self.metrics())
+
     def charge(self, size: int) -> None:
         """Record one recursor-body entry whose state has ``size`` defined
         positions; refuse it when the budget is spent."""
-        if self.calls + self.ticks + 1 > self.fuel:
-            raise FuelExhausted(self.metrics())
+        self.require(1)
         self.calls += 1
         if size > self.max_domain:
             self.max_domain = size
 
     def tick(self) -> None:
         """Charge one auxiliary unfolding against the fuel budget."""
-        if self.calls + self.ticks + 1 > self.fuel:
-            raise FuelExhausted(self.metrics())
+        self.require(1)
         self.ticks += 1
 
     def metrics(self) -> Metrics:

@@ -86,12 +86,24 @@ def gen_body(rng: random.Random, sequential: bool) -> Callable[[Any], int]:
     return body
 
 
+def gen_partial(rng: random.Random, most: int) -> PartialFn:
+    """A partial function of at most ``most`` entries, at indices below 8
+    with values at most 5; a repeated index keeps its last value."""
+    pairs = {}
+    for _ in range(rng.randint(0, most)):
+        pairs[rng.randint(0, 7)] = rng.randint(0, 5)
+    return PartialFn(pairs.items())
+
+
+def _gen_params(rng: random.Random, sequential: bool) -> RecursorParams:
+    return RecursorParams(step=gen_step(rng), body=gen_body(rng, sequential),
+                          control=gen_control(rng), default=0,
+                          default_result=0)
+
+
 def gen_br_instance(rng: random.Random) -> tuple:
     """A sequential recursion instance and a start sequence."""
-    params = RecursorParams(step=gen_step(rng),
-                            body=gen_body(rng, sequential=True),
-                            control=gen_control(rng), default=0,
-                            default_result=0)
+    params = _gen_params(rng, sequential=True)
     start = FiniteSeq(rng.randint(0, 5)
                       for _ in range(rng.randint(0, 2)))
     return params, start
@@ -99,14 +111,7 @@ def gen_br_instance(rng: random.Random) -> tuple:
 
 def gen_sbr_instance(rng: random.Random) -> tuple:
     """A symmetric recursion instance and a start partial function."""
-    params = RecursorParams(step=gen_step(rng),
-                            body=gen_body(rng, sequential=False),
-                            control=gen_control(rng), default=0,
-                            default_result=0)
-    pairs = {}
-    for _ in range(rng.randint(0, 2)):
-        pairs[rng.randint(0, 7)] = rng.randint(0, 5)
-    return params, PartialFn(pairs.items())
+    return _gen_params(rng, sequential=False), gen_partial(rng, 2)
 
 
 def gen_thread_input(rng: random.Random) -> tuple:

@@ -56,7 +56,6 @@ def br_from_sbr(params: RecursorParams, s: FiniteSeq,
                 ctx: EvalContext | None = None) -> Any:
     """Run the symmetric engine over value/flag pairs so that it simulates
     sequential recursion from ``s``.  Extensionally equal to ``br``."""
-    ctx = ctx or EvalContext()
     lifted = _lift_sequential(params)
     return sbr(lifted, _embed_seq(s), ctx)
 
@@ -232,7 +231,6 @@ def sbr_from_br(params: RecursorParams, u: PartialFn,
     the step to the body.  The translated thread-restricted recursor is
     then run from the empty state, which is trivially a thread.
     Extensionally equal to ``sbr``."""
-    ctx = ctx or EvalContext()
     merged = u.merge
     table = dict(u.entries)
 

@@ -199,23 +199,37 @@ def test_bench_keeps_rows_when_a_cell_recurses_too_deep(capsys):
             ("memoized", "100", "", "fuel-exhausted")]
 
 
+# prod:12 on the demand-driven solver makes 3 calls and 1 tick but names
+# i = 4096, so its report reads 4,097 points of each of the two printed
+# prefixes.  The fuel left after the solve must cover both: 8,198 in all.
+PROD12_SYMMETRIC = ["--family", "prod", "--n", "12", "--recursor",
+                    "symmetric", "--format", "csv"]
+
+
 def test_fuel_bounds_the_printed_prefix(capsys):
-    # prod:12 on the demand-driven solver makes a few calls but names
-    # i = 4096, so its report reads a prefix of 4,097 points of each
-    # sequence.  The fuel left after the solve must cover that prefix.
     argv = ["solve", "--builtin", "prod:12", "--recursor", "symmetric",
             "--format", "csv"]
     assert cli.main(argv + ["--fuel", "4000"]) == 3
     assert capsys.readouterr().err == "error: fuel exhausted\n"
-    assert cli.main(argv + ["--fuel", "5000"]) == 0
+    assert cli.main(argv + ["--fuel", "8197"]) == 3
+    assert capsys.readouterr().err == "error: fuel exhausted\n"
+    assert cli.main(argv + ["--fuel", "8198"]) == 0
     capsys.readouterr()
-    rc, out = run_main(["bench", "--family", "prod", "--n", "12",
-                        "--recursor", "symmetric", "--fuel", "4000",
-                        "--format", "csv"], capsys)
+    rc, out = run_main(["bench", "--fuel", "4000"] + PROD12_SYMMETRIC, capsys)
     assert rc == 0
     rows = list(csv.DictReader(out.splitlines()))
     assert [(r["i"], r["error"]) for r in rows] \
         == [("", "fuel-exhausted")] * 2
+
+
+@pytest.mark.parametrize("fuel, i, error", [("8197", "", "fuel-exhausted"),
+                                            ("8198", "4096", "")])
+def test_bench_fuel_covers_both_printed_prefixes(fuel, i, error, capsys):
+    rc, out = run_main(["bench", "--fuel", fuel] + PROD12_SYMMETRIC, capsys)
+    assert rc == 0
+    rows = list(csv.DictReader(out.splitlines()))
+    assert [(r["calls"], r["i"], r["error"]) for r in rows] \
+        == [("3", i, error)] * 2
 
 
 def test_bench_text_marks_error_rows():
@@ -308,6 +322,17 @@ def test_thread_subcommand_json(capsys):
     data = json.loads(out)
     assert data["final"] == {"0": 3}
     assert data["steps"][0]["n"] == 0
+
+
+def test_thread_format_csv_exit_2(capsys):
+    # thread prints text or JSON only, so it refuses csv rather than
+    # printing the text trace under that name.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["thread", "--builtin", "prod:3", "--format", "csv"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "invalid choice: 'csv'" in captured.err
 
 
 def test_thread_total_flag(capsys):

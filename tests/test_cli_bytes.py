@@ -35,6 +35,8 @@ COMMANDS = {
                                            "--format", "json"],
     "solve-contrived3-dsl.json": ["solve", "--h", builtin_dsl("contrived", 3),
                                   "--format", "json"],
+    "interdef-test-cases20-seed2.json": ["interdef-test", "--cases", "20",
+                                         "--seed", "2"],
 }
 
 

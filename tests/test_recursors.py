@@ -141,6 +141,45 @@ def test_fuel_exhausted_carries_metrics():
     assert exc.value.metrics.mode == "plain"
 
 
+@pytest.mark.parametrize("fuel", [0, 1, 2, 7])
+@pytest.mark.parametrize("mix", ["charge", "tick", "alternate"])
+def test_fuel_admits_exactly_its_units(fuel, mix):
+    ctx = EvalContext(fuel=fuel)
+
+    def spend(k):
+        if mix == "charge" or (mix == "alternate" and k % 2 == 0):
+            ctx.charge(k)
+        else:
+            ctx.tick()
+
+    for k in range(fuel):
+        spend(k)
+    assert ctx.calls + ctx.ticks == fuel
+    with pytest.raises(FuelExhausted):
+        spend(fuel)
+    assert ctx.calls + ctx.ticks == fuel
+
+
+@pytest.mark.parametrize("fuel, calls, ticks", [(0, 0, 0), (5, 2, 1),
+                                                (9, 0, 4), (9, 6, 0)])
+def test_require_refuses_exactly_past_the_fuel(fuel, calls, ticks):
+    ctx = EvalContext(fuel=fuel)
+    for _ in range(calls):
+        ctx.charge(3)
+    for _ in range(ticks):
+        ctx.tick()
+    left = fuel - calls - ticks
+    for work in range(left + 1):
+        ctx.require(work)
+    with pytest.raises(FuelExhausted) as exc:
+        ctx.require(left + 1)
+    assert (exc.value.metrics.calls, exc.value.metrics.ticks) \
+        == (calls, ticks)
+    assert exc.value.metrics.max_domain == (3 if calls else 0)
+    # require reserves nothing: the counters stay as they were.
+    assert (ctx.calls, ctx.ticks) == (calls, ticks)
+
+
 def test_sibling_sharing_within_one_entry():
     entries = []
 
