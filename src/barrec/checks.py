@@ -14,10 +14,10 @@ from itertools import chain, islice
 from typing import Iterator
 
 from . import gen, hdsl
-from .choice import (phi_spector, psi_symmetric, solve_spector,
-                     solve_symmetric, symmetric_params, thread_prefix,
-                     verify_equations)
-from .context import EvalContext
+from .choice import (fill_order, phi_spector, psi_symmetric, reroot,
+                     solve_spector, solve_symmetric, symmetric_params,
+                     thread_prefix, verify_equations)
+from .context import EvalContext, InternalInvariantViolation
 from .interdef import br_from_sbr, carrier_stages, diag_finite, sbr_from_br, \
     theta_from_br
 from .noinjection import (BENCH_RANGES, FAMILIES, RECURSORS, builtin_dsl,
@@ -169,51 +169,38 @@ def suite_spector(seed: int = 0, cases: int = 100) -> SuiteResult:
 
 
 def suite_indexwise(seed: int = 0, cases: int = 50) -> SuiteResult:
-    """Index-by-index equations on both carriers, carrier threadhood,
-    re-rooting stability, and agreement of the demand-driven carrier with
-    its translation onto the sequential engine."""
+    """Index-by-index equations on both carriers, over the order in which
+    each was filled, carrier threadhood, re-rooting stability, and
+    agreement of the demand-driven carrier with its translation onto the
+    sequential engine."""
     rng = random.Random(seed)
     res = SuiteResult("indexwise")
     for case in range(cases):
         cp = gen.gen_choice_instance(rng)
-        carrier = phi_spector(cp, EMPTY_SEQ, EvalContext())
-        qt = cp.q_hat(carrier)
-        for i in range(len(carrier)):
-            prefix = carrier.take(i)
-
-            def p(x, _prefix=prefix):
-                return cp.q_hat(phi_spector(cp, _prefix.append(x),
-                                            EvalContext()))
-
-            sel = cp.eps(i)(p)
-            res.check(carrier[i] == sel,
-                      "case %d: sequential slot %d is not the selection"
-                      % (case, i))
-            res.check(qt == p(sel),
-                      "case %d: sequential observation differs at %d"
-                      % (case, i))
-
-        v = psi_symmetric(cp, EMPTY, EvalContext())
-        res.check(is_thread(cp.control, v, cp.default),
+        ctx = EvalContext()
+        t = phi_spector(cp, EMPTY_SEQ, ctx)
+        v = psi_symmetric(cp, EMPTY, ctx)
+        res.check(is_thread(cp.control, v, cp.default, ctx),
                   "case %d: demand-driven carrier is not a thread" % case)
-        decomp = thread_decomposition(cp.control, v, cp.default) or []
-        for i, (ni, _) in enumerate(decomp):
-            prefix = PartialFn(decomp[:i])
-
-            def p(x, _prefix=prefix, _ni=ni):
-                return cp.q_hat(psi_symmetric(cp, _prefix.update(_ni, x),
-                                              EvalContext()))
-
-            sel = cp.eps(ni)(p)
-            res.check(v(ni) == sel,
-                      "case %d: carrier value at %d is not the selection"
-                      % (case, ni))
-            res.check(cp.q_hat(v) == p(sel),
-                      "case %d: observation differs at update %d"
-                      % (case, i))
+        for tag, carrier in (("sequential", t), ("demand-driven", v)):
+            try:
+                order = fill_order(cp, carrier, ctx)
+            except InternalInvariantViolation:
+                continue  # a non-thread, already failed by the check above
+            f = extend_hat(carrier, cp.default)
+            qt = cp.q(f)
+            for k, n in enumerate(order):
+                p = reroot(cp, carrier, order, k, ctx)
+                sel = cp.eps(n)(p)
+                res.check(f(n) == sel,
+                          "case %d: %s carrier value at %d is not the "
+                          "selection" % (case, tag, n))
+                res.check(qt == p(sel),
+                          "case %d: %s observation differs at fill %d"
+                          % (case, tag, k))
         for i in range(len(v) + 1):
-            res.check(psi_symmetric(cp, thread_prefix(cp, v, i),
-                                    EvalContext()) == v,
+            res.check(psi_symmetric(cp, thread_prefix(cp, v, i, ctx),
+                                    ctx) == v,
                       "case %d: re-rooting at thread prefix %d moved the "
                       "carrier" % (case, i))
         res.check(sbr_from_br(symmetric_params(cp), EMPTY) == v,

@@ -13,9 +13,11 @@ Two carrier builders, ``br`` and ``sbr`` under ``spector_params`` and
 extension solves the system.  The sequential one grows a finite sequence
 one slot at a time in index order; the demand-driven one grows a finite
 partial function at exactly the indices the control asks for.  Either
-carrier determines the solution: read ``f`` off its extension, ``n`` from
-the control, and ``p`` from a fresh recursor evaluation rooted at the
-right prefix of the carrier.
+carrier determines the solution, read in one place for both (``_solve``):
+``f`` is its extension and ``n`` the control's value there; ``p`` re-runs
+the builder from the state that filled ``n`` (``fill_order`` and
+``reroot``) on the solve's own context, so the solve's fuel bounds the
+work done through ``p`` too.
 """
 
 from __future__ import annotations
@@ -107,7 +109,9 @@ def psi_via_sbr(cp: ChoiceParams, u: PartialFn,
 @dataclass(frozen=True)
 class SpectorSolution:
     """A solution ``(f, n, p)`` together with the finite carrier it was
-    read from (a sequence or a partial function)."""
+    read from (a sequence or a partial function).  ``p`` re-runs the
+    builder on the solve's context, so the solve's fuel also bounds the
+    work done through it."""
 
     f: InfSeq
     n: int
@@ -118,59 +122,64 @@ class SpectorSolution:
         return len(self.witness)
 
 
+def fill_order(cp: ChoiceParams, carrier: "FiniteSeq | PartialFn",
+               ctx: EvalContext) -> "range | list":
+    """The indices of ``carrier`` in the order its builder filled them:
+    a sequence's in index order, a partial function's in the update order
+    of its thread, which charges ``ctx`` one tick per update."""
+    if isinstance(carrier, FiniteSeq):
+        return range(len(carrier))
+    decomp = thread_decomposition(cp.control, carrier, cp.default, ctx)
+    if decomp is None:
+        raise InternalInvariantViolation("carrier is not a thread")
+    return [n for n, _ in decomp]
+
+
+def reroot(cp: ChoiceParams, carrier: "FiniteSeq | PartialFn",
+           order: "range | list", k: int,
+           ctx: EvalContext) -> Callable[[Any], Any]:
+    """The builder's continuation at fill ``k`` of ``carrier``, observed:
+    ``x`` goes to ``q_hat`` of the carrier the builder grows on ``ctx``
+    from the state that filled ``order[k]``, with ``x`` written there."""
+    if isinstance(carrier, FiniteSeq):
+        prefix = carrier.take(k)
+        return lambda x: cp.q_hat(phi_spector(cp, prefix.append(x), ctx))
+    n, prefix = order[k], PartialFn((m, carrier(m)) for m in order[:k])
+    return lambda x: cp.q_hat(psi_symmetric(cp, prefix.update(n, x), ctx))
+
+
+def _solve(cp: ChoiceParams, carrier: "FiniteSeq | PartialFn",
+           ctx: EvalContext) -> SpectorSolution:
+    """Read the solution off a built carrier: ``f`` is its extension,
+    ``n = control(f)`` must be filled exactly once, and ``p`` re-roots the
+    builder at the state that filled ``n``."""
+    f = extend_hat(carrier, cp.default)
+    n = cp.control(f)
+    order = fill_order(cp, carrier, ctx)
+    if order.count(n) != 1:
+        raise InternalInvariantViolation(
+            "control value %r is filled %d times, not once"
+            % (n, order.count(n)))
+    return SpectorSolution(f=f, n=n, witness=carrier,
+                           p=reroot(cp, carrier, order, order.index(n), ctx))
+
+
 def solve_spector(cp: ChoiceParams,
                   ctx: EvalContext | None = None) -> SpectorSolution:
-    """Solve the system with the sequential carrier ``t``: ``f`` is the
-    extension of ``t``, ``n = control(f)``, and ``p`` re-roots the builder
-    at the length-``n`` prefix of ``t``."""
+    """Solve the system with the sequential carrier grown from the empty
+    sequence; ``p`` re-roots the builder at its length-``n`` prefix."""
     ctx = ctx or EvalContext()
-    t = phi_spector(cp, EMPTY_SEQ, ctx)
-    f = extend_hat(t, cp.default)
-    n = cp.control(f)
-    if not n < len(t):
-        raise InternalInvariantViolation(
-            "control value %r not below carrier length %d" % (n, len(t)))
-    prefix = t.take(n)
-
-    def p(x: Any) -> Any:
-        return cp.q_hat(phi_spector(cp, prefix.append(x), ctx.fresh()))
-
-    return SpectorSolution(f=f, n=n, p=p, witness=t)
+    return _solve(cp, phi_spector(cp, EMPTY_SEQ, ctx), ctx)
 
 
 def solve_symmetric(cp: ChoiceParams,
                     ctx: EvalContext | None = None) -> SpectorSolution:
-    """Solve the system with the demand-driven carrier ``v`` grown from
-    the empty partial function.
-
-    ``v`` is always a thread of its own control, so it has a unique update
-    decomposition; ``n = control(v-hat)`` must occur among the update
-    indices, and ``p`` re-roots the builder at the thread prefix that was
-    current when ``n`` was filled.
-    """
+    """Solve the system with the demand-driven carrier grown from the
+    empty partial function.  It is a thread of its own control, so its
+    update order is unique, and ``p`` re-roots the builder at the thread
+    prefix that was current when ``n`` was filled."""
     ctx = ctx or EvalContext()
-    v = psi_symmetric(cp, EMPTY, ctx)
-    f = extend_hat(v, cp.default)
-    n = cp.control(f)
-    if not v.defined_at(n):
-        raise InternalInvariantViolation(
-            "control value %r lands outside the carrier domain %r"
-            % (n, v.domain()))
-    decomp = thread_decomposition(cp.control, v, cp.default, ctx)
-    if decomp is None:
-        raise InternalInvariantViolation("carrier is not a thread")
-    hits = [k for k, (nk, _) in enumerate(decomp) if nk == n]
-    if len(hits) != 1:
-        raise InternalInvariantViolation(
-            "update index %r occurs %d times in the decomposition"
-            % (n, len(hits)))
-    k = hits[0]
-    prefix = PartialFn(decomp[:k])
-
-    def p(x: Any) -> Any:
-        return cp.q_hat(psi_symmetric(cp, prefix.update(n, x), ctx.fresh()))
-
-    return SpectorSolution(f=f, n=n, p=p, witness=v)
+    return _solve(cp, psi_symmetric(cp, EMPTY, ctx), ctx)
 
 
 _WINDOW = 64
@@ -188,7 +197,8 @@ def values_equal(a: Any, b: Any) -> bool:
 
 
 def verify_equations(sol: SpectorSolution, cp: ChoiceParams) -> bool:
-    """Check the three equations by direct evaluation."""
+    """Check the three equations by direct evaluation.  The two calls of
+    ``sol.p`` run on the solve's context and charge its fuel."""
     if cp.control(sol.f) != sol.n:
         return False
     selected = cp.eps(sol.n)(sol.p)

@@ -107,10 +107,6 @@ class EvalContext:
         return Metrics(calls=self.calls, ticks=self.ticks,
                        max_domain=self.max_domain, mode=self.mode)
 
-    def fresh(self) -> "EvalContext":
-        """A new context with the same configuration and zeroed counters."""
-        return EvalContext(fuel=self.fuel, mode=self.mode)
-
 
 def sibling_cache(f: Any) -> Any:
     """Wrap a continuation so that, within the lifetime of one body entry,

@@ -6,18 +6,19 @@ from dataclasses import replace
 
 import pytest
 
-from barrec import gen
+from barrec import choice, gen
 from barrec.choice import (ChoiceParams, SpectorSolution, phi_spector,
                            psi_symmetric, solve_spector, solve_symmetric,
                            spector_params, symmetric_params, values_equal,
                            verify_equations)
-from barrec.context import MEMOIZED, EvalContext
+from barrec.context import (MEMOIZED, EvalContext, FuelExhausted,
+                            InternalInvariantViolation)
 from barrec.interdef import br_from_sbr, sbr_from_br
 from barrec.noinjection import (BENCH_RANGES, FAMILIES, builtin_h,
                                 make_choice_params)
 from barrec.pfun import EMPTY, EMPTY_SEQ, FiniteSeq, InfSeq, PartialFn
 from barrec.recursors import br, sbr
-from barrec.threads import is_thread, thread_of_partial
+from barrec.threads import is_thread, thread_decomposition, thread_of_partial
 
 
 def constant_control_params():
@@ -144,6 +145,57 @@ def test_indexwise_equations_sequential():
 
             assert t[i] == cp.eps(i)(p)
             assert qt == p(cp.eps(i)(p))
+
+
+def test_indexwise_equations_symmetric():
+    rng = random.Random(44)
+    for _ in range(20):
+        cp = gen.gen_choice_instance(rng)
+        v = psi_symmetric(cp, EMPTY, EvalContext())
+        qv = cp.q_hat(v)
+        decomp = thread_decomposition(cp.control, v, cp.default)
+        for i, (n, x) in enumerate(decomp):
+            prefix = PartialFn(decomp[:i])
+
+            def p(y, _prefix=prefix, _n=n):
+                return cp.q_hat(psi_symmetric(cp, _prefix.update(_n, y),
+                                              EvalContext()))
+
+            assert x == v(n) == cp.eps(n)(p)
+            assert qv == p(cp.eps(n)(p))
+
+
+# prod:6 solves in 67 recursor entries on the sequential solver, and in 3
+# entries and 1 thread step on the symmetric one.  Verifying the solution
+# calls ``p`` twice, one entry each, on the solve's fuel.
+@pytest.mark.parametrize("solver, fuel, verifies", [
+    (solve_spector, 67, False), (solve_spector, 68, False),
+    (solve_spector, 69, True),
+    (solve_symmetric, 4, False), (solve_symmetric, 5, False),
+    (solve_symmetric, 6, True)])
+def test_p_runs_on_the_solve_fuel(solver, fuel, verifies):
+    cp = make_choice_params(builtin_h("prod", 6))
+    sol = solver(cp, EvalContext(fuel=fuel))
+    if verifies:
+        assert verify_equations(sol, cp)
+    else:
+        with pytest.raises(FuelExhausted):
+            verify_equations(sol, cp)
+
+
+@pytest.mark.parametrize("builder, solver, carrier, reason", [
+    ("phi_spector", solve_spector, EMPTY_SEQ, "filled 0 times"),
+    ("psi_symmetric", solve_symmetric, EMPTY, "filled 0 times"),
+    # The control names 0, which is filled, but the thread of this
+    # carrier stops at {0: 5}.
+    ("psi_symmetric", solve_symmetric, PartialFn(((0, 5), (3, 1))),
+     "not a thread")],
+    ids=["sequential-misses-n", "symmetric-misses-n", "not-a-thread"])
+def test_solve_refuses_a_carrier_its_argument_rules_out(
+        monkeypatch, builder, solver, carrier, reason):
+    monkeypatch.setattr(choice, builder, lambda cp, s, ctx=None: carrier)
+    with pytest.raises(InternalInvariantViolation, match=reason):
+        solver(constant_control_params(), EvalContext())
 
 
 def test_values_equal_on_functions_uses_window():

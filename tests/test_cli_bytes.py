@@ -33,6 +33,7 @@ COMMANDS = {
     "thread-total-steps10.txt": THREAD + ["--total", "--steps", "10"],
     "thread-total-steps10.json": THREAD + ["--total", "--steps", "10",
                                            "--format", "json"],
+    "solve-prod6.json": ["solve", "--builtin", "prod:6", "--format", "json"],
     "solve-contrived3-dsl.json": ["solve", "--h", builtin_dsl("contrived", 3),
                                   "--format", "json"],
     "interdef-test-cases20-seed2.json": ["interdef-test", "--cases", "20",
