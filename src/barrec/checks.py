@@ -180,12 +180,16 @@ def suite_indexwise(seed: int = 0, cases: int = 50) -> SuiteResult:
         ctx = EvalContext()
         t = phi_spector(cp, EMPTY_SEQ, ctx)
         v = psi_symmetric(cp, EMPTY, ctx)
-        res.check(is_thread(cp.control, v, cp.default, ctx),
+        try:
+            v_order = fill_order(cp, v, ctx)
+        except InternalInvariantViolation:
+            v_order = None
+        res.check(v_order is not None,
                   "case %d: demand-driven carrier is not a thread" % case)
-        for tag, carrier in (("sequential", t), ("demand-driven", v)):
-            try:
-                order = fill_order(cp, carrier, ctx)
-            except InternalInvariantViolation:
+        for tag, carrier, order in (
+                ("sequential", t, fill_order(cp, t, ctx)),
+                ("demand-driven", v, v_order)):
+            if order is None:
                 continue  # a non-thread, already failed by the check above
             f = extend_hat(carrier, cp.default)
             qt = cp.q(f)

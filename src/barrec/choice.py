@@ -12,7 +12,12 @@ Two carrier builders, ``br`` and ``sbr`` under ``spector_params`` and
 ``symmetric_params``, each build a finite carrier whose canonical
 extension solves the system.  The sequential one grows a finite sequence
 one slot at a time in index order; the demand-driven one grows a finite
-partial function at exactly the indices the control asks for.  Either
+partial function at exactly the indices the control asks for.  Both
+engines evaluate the control on the extension ``ChoiceParams.extend``
+forms, which keeps the last one formed: the selection's observation
+``q_hat`` of the child carrier the engine has just stopped on reads that
+extension, so an instance can recognise the observation of a carrier
+whose control value it has already computed.  Either
 carrier determines the solution, read in one place for both (``_solve``):
 ``f`` is its extension and ``n`` the control's value there; ``p`` re-runs
 the builder from the state that filled ``n`` (``fill_order`` and
@@ -22,7 +27,7 @@ work done through ``p`` too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from .context import EvalContext, InternalInvariantViolation
@@ -45,9 +50,24 @@ class ChoiceParams:
     q: Callable[[InfSeq], Any]
     control: Callable[[InfSeq], int]
     default: Any
+    # The carrier the engines last extended, and that extension.
+    _last: list = field(default_factory=lambda: [(None, None)], init=False,
+                        repr=False, compare=False)
+
+    def extend(self, carrier: "FiniteSeq | PartialFn") -> InfSeq:
+        """The canonical extension of ``carrier``, where the engines
+        evaluate the control.  The last one formed is kept, so that
+        ``q_hat`` of the same carrier observes that very extension."""
+        f = extend_hat(carrier, self.default)
+        self._last[0] = (carrier, f)
+        return f
 
     def q_hat(self, carrier: "FiniteSeq | PartialFn") -> Any:
-        return self.q(extend_hat(carrier, self.default))
+        """The observation ``q`` of ``carrier``'s canonical extension."""
+        last, f = self._last[0]
+        if last is not carrier:
+            f = extend_hat(carrier, self.default)
+        return self.q(f)
 
 
 def _choice_params(cp: ChoiceParams,
@@ -63,7 +83,7 @@ def _choice_params(cp: ChoiceParams,
 
     return RecursorParams(step=step, body=lambda state: state,
                           control=cp.control, default=cp.default,
-                          default_result=zero)
+                          default_result=zero, extend=cp.extend)
 
 
 def spector_params(cp: ChoiceParams) -> RecursorParams:

@@ -11,8 +11,12 @@ countable choice solvers with
 
 over the value domain of sequences (zero is the constant-0 sequence), and
 reads the collision off a solution: ``alpha = q(f)``, ``i = control(f)``,
-``beta = f(i)``.  Built-in ``H`` families and a verifier for the produced
-collisions live here as well.  So do the report's axes, each declared
+``beta = f(i)``.  ``H`` runs once per control evaluation.  The
+selection's probe ``p(zero)`` is ``q`` of the child carrier the engine
+has just stopped on, whose control value is ``H`` of that very probe, so
+the selection reads the value the control computed there; any other
+probe runs ``H``.  The verifier evaluates ``H`` itself.  Built-in ``H``
+families and a verifier for the produced collisions live here as well.  So do the report's axes, each declared
 once: the families with their ``bench`` ranges (``BENCH_RANGES``), the
 recursor names (``RECURSORS``) and the row schema (``report_row``).
 """
@@ -109,20 +113,37 @@ def make_choice_params(h: HFunctional) -> ChoiceParams:
 
     The value domain is sequences-as-values; the shared zero object makes
     the selection's probe and the subsequent recursive call recognisably
-    the same argument.
+    the same argument.  The control keeps the extension it last ran on,
+    its ``q``-sequence and ``H`` there as one record: ``q`` of that
+    extension returns the kept sequence, and a selection whose probe is
+    that sequence reads the kept ``H`` value.
     """
     zero = InfSeq.constant(0)
+    # The extension the control last ran on, its q-sequence and H there.
+    last = [(None, None, None)]
 
     def q(f: InfSeq) -> InfSeq:
+        ran_on, qf, _ = last[0]
+        if ran_on is f:
+            return qf
         return InfSeq(lambda num: f(num)(num) + 1)
 
     def control(f: InfSeq) -> int:
-        return h(q(f))
+        qf = q(f)
+        value = h(qf)
+        last[0] = (f, qf, value)
+        return value
 
+    def h_probe(probe: InfSeq) -> int:
+        _, qf, value = last[0]
+        return value if probe is qf else h(probe)
+
+    # ``select`` is a frame on the recursion's spine, once per carrier slot,
+    # so it keeps no more locals than it needs.
     def eps(n: int) -> Callable[[Callable[[InfSeq], InfSeq]], InfSeq]:
         def select(p: Callable[[InfSeq], InfSeq]) -> InfSeq:
             probe = p(zero)
-            return probe if h(probe) == n else zero
+            return probe if h_probe(probe) == n else zero
         return select
 
     return ChoiceParams(eps=eps, q=q, control=control, default=zero)

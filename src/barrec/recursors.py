@@ -3,15 +3,21 @@
 ``br`` recurses over finite sequences and stops when the control value on
 the canonical extension falls below the length; ``sbr`` recurses over
 finite partial functions, updating at the index the control names and
-stopping as soon as that index is already defined.  ``theta`` is the
-thread-restricted variant of ``sbr`` that returns a supplied zero result
-on inputs the control could not itself have built.  The choice solvers
-and the translations in ``interdef`` are parameterisations of ``br`` and
-``sbr``, which share one memo wrapper.
+stopping as soon as that index is already defined.  Both evaluate the
+control once per entry, on the state, through ``control_hat``.
+``theta`` is the thread-restricted variant of ``sbr`` that returns a
+supplied zero result on inputs the control could not itself have built.
+The choice solvers and the translations in ``interdef`` are
+parameterisations of ``br`` and ``sbr``, which share one memo wrapper.
 
 The parameter triple is opaque: the engine never inspects ``step``,
 ``body`` or ``control``, it only applies them.  Sharing behaviour and the
-meaning of the call counter are documented on ``EvalContext``.
+meaning of the call counter are documented on ``EvalContext``.  A
+continuation is live only while the recursion that made it runs: the
+engine's entry point reaches itself through the name its continuations
+call, and the engine clears that name when it returns, so a finished
+recursion leaves no reference cycle holding its parameters, its memo and
+its states.
 """
 
 from __future__ import annotations
@@ -37,8 +43,12 @@ class RecursorParams:
     canonical extension to an index.  ``default`` is the zero of the value
     domain used to form extensions, and ``default_result`` is the zero of
     the result domain (only the thread-restricted recursor reads it).
-    Parameter sets compare by identity, which is how the memo tells
-    recursions apart.
+    ``extend`` forms a state's canonical extension where the engines
+    evaluate the control (``control_hat``); without it they form
+    ``extend_hat(state, default)``, and one passed in must return that
+    extension too.  It lets a parameterisation see the states the control
+    runs on.  Parameter sets compare by identity, which is how the memo
+    tells recursions apart.
     """
 
     step: Callable[[Any, Any, Callable[[Any], Any]], Any]
@@ -46,6 +56,13 @@ class RecursorParams:
     control: Callable[[InfSeq], Any]
     default: Any
     default_result: Any = None
+    extend: Callable[[Any], InfSeq] | None = None
+
+    def control_hat(self, state: Any) -> Any:
+        """The control on the canonical extension of ``state``."""
+        extend = self.extend
+        return self.control(extend_hat(state, self.default) if extend is None
+                            else extend(state))
 
 
 def _memoized(ctx: EvalContext, params: RecursorParams,
@@ -77,12 +94,15 @@ def br(params: RecursorParams, s: FiniteSeq,
     def enter(s: FiniteSeq) -> Any:
         ctx.charge(len(s))
         n = len(s)
-        if params.control(extend_hat(s, params.default)) < n:
+        if params.control_hat(s) < n:
             return params.body(s)
         return params.step(s, n, sibling_cache(lambda x: run(s.append(x))))
 
     run = _memoized(ctx, params, enter)
-    return run(s)
+    try:
+        return run(s)
+    finally:
+        del run
 
 
 def sbr(params: RecursorParams, u: PartialFn,
@@ -101,13 +121,16 @@ def sbr(params: RecursorParams, u: PartialFn,
 
     def enter(u: PartialFn) -> Any:
         ctx.charge(len(u))
-        n = params.control(extend_hat(u, params.default))
+        n = params.control_hat(u)
         if u.defined_at(n):
             return params.body(u)
         return params.step(u, n, sibling_cache(lambda x: run(u.update(n, x))))
 
     run = _memoized(ctx, params, enter)
-    return run(u)
+    try:
+        return run(u)
+    finally:
+        del run
 
 
 def theta(params: RecursorParams, u: PartialFn,

@@ -1,16 +1,31 @@
 """The injectivity refutation study: parameters, extraction, verification."""
 
+import gc
 import random
+from dataclasses import replace
 
 import pytest
 
 from barrec import gen
-from barrec.choice import psi_symmetric, phi_spector
-from barrec.context import EvalContext
-from barrec.noinjection import (Counterexample, builtin_h, counterexample,
-                                make_choice_params, report_row,
-                                verify_counterexample)
-from barrec.pfun import EMPTY, EMPTY_SEQ, InfSeq
+from barrec.choice import (psi_symmetric, phi_spector, solve_spector,
+                           solve_symmetric)
+from barrec.context import MODES, EvalContext
+from barrec.noinjection import (RECURSORS, Counterexample, builtin_h,
+                                counterexample, make_choice_params,
+                                report_row, verify_counterexample)
+from barrec.pfun import EMPTY, EMPTY_SEQ, FiniteSeq, InfSeq, PartialFn, \
+    extend_hat
+
+
+def _counting(fn):
+    """``fn`` with a record of the arguments it is called with."""
+    args = []
+
+    def counted(x):
+        args.append(x)
+        return fn(x)
+
+    return counted, args
 
 
 def test_builtin_values():
@@ -68,6 +83,72 @@ def test_spector_carrier_prod():
     assert len(t) == 17
     assert all(t[k].prefix(2) == [0, 0] for k in range(16))
     assert t[16].prefix(3) == [1, 1, 1]
+
+
+@pytest.mark.parametrize("solve,family,n", [(solve_spector, "prod", 6),
+                                            (solve_symmetric, "leastinc", 20)])
+def test_h_runs_only_at_control_evaluations(solve, family, n):
+    # At each engine entry, once in the solve and once per step of the
+    # symmetric carrier's fill-order walk; a selection's probe reads the
+    # value the engine computed when the child carrier stopped.
+    h, h_args = _counting(builtin_h(family, n))
+    cp = make_choice_params(h)
+    control, control_args = _counting(cp.control)
+    ctx = EvalContext()
+    solve(replace(cp, control=control), ctx)
+    assert len(h_args) == len(control_args) == ctx.calls + 1 + ctx.ticks
+
+
+def test_selection_reruns_h_on_a_probe_the_engine_did_not_stop_on():
+    h, h_args = _counting(builtin_h("prod", 4))
+    cp = make_choice_params(h)
+    carrier = phi_spector(cp, EMPTY_SEQ, EvalContext())
+    stopped = cp.q_hat(carrier)
+    fresh = cp.q(extend_hat(carrier, cp.default))
+    assert fresh is not stopped and fresh.prefix(20) == stopped.prefix(20)
+    for n in (16, 3):
+        calls = len(h_args)
+        read = cp.eps(n)(lambda x: stopped)
+        assert len(h_args) == calls
+        rerun = cp.eps(n)(lambda x: fresh)
+        assert len(h_args) == calls + 1
+        assert (read is stopped, rerun is fresh) == (n == 16, n == 16)
+        assert read.prefix(20) == rerun.prefix(20)
+
+
+def test_verifier_evaluates_h_on_both_sequences():
+    # The sequential solve's last control evaluation is on the extension
+    # that alpha observes, so alpha is a sequence whose H value is
+    # recorded; the verifier still evaluates H on it.
+    h, h_args = _counting(builtin_h("prod", 4))
+    c = counterexample(h, "spector", EvalContext())
+    del h_args[:]
+    assert verify_counterexample(h, c)
+    assert len(h_args) == 2
+    assert h_args[0] is c.alpha and h_args[1] is c.beta
+
+
+@pytest.mark.parametrize("recursor", RECURSORS)
+@pytest.mark.parametrize("mode", MODES)
+def test_counterexample_leaves_no_carrier_alive(recursor, mode):
+    # Without the cycle collector, a carrier outlives the solve only if a
+    # reference cycle (or a record kept past the solve) holds it.
+    def carriers():
+        return [o for o in gc.get_objects()
+                if isinstance(o, (FiniteSeq, PartialFn))]
+
+    h = builtin_h("leastinc", 5)
+    gc.collect()
+    gc.disable()
+    try:
+        before = carriers()
+        kept = {id(o) for o in before}
+        c = counterexample(h, recursor, EvalContext(mode=mode))
+        left = [o for o in carriers() if id(o) not in kept]
+    finally:
+        gc.enable()
+    assert verify_counterexample(h, c)
+    assert left == []
 
 
 @pytest.mark.parametrize("recursor,size", [("symmetric", 1), ("spector", 17)])
