@@ -19,15 +19,17 @@ forms, which keeps the last one formed: the selection's observation
 extension, so an instance can recognise the observation of a carrier
 whose control value it has already computed.  Either
 carrier determines the solution, read in one place for both (``_solve``):
-``f`` is its extension and ``n`` the control's value there; ``p`` re-runs
-the builder from the state that filled ``n`` (``fill_order`` and
-``reroot``) on the solve's own context, so the solve's fuel bounds the
-work done through ``p`` too.
+``f`` is its extension and ``n`` the control's value there, and that is
+all a solve computes.  ``p`` is formed on its first call: it finds the
+state that filled ``n`` (``fill_order``) and re-runs the builder from
+there (``reroot``), both on the solve's own context, so the solve's fuel
+bounds the work done through ``p`` too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Any, Callable
 
 from .context import EvalContext, InternalInvariantViolation
@@ -129,9 +131,10 @@ def psi_via_sbr(cp: ChoiceParams, u: PartialFn,
 @dataclass(frozen=True)
 class SpectorSolution:
     """A solution ``(f, n, p)`` together with the finite carrier it was
-    read from (a sequence or a partial function).  ``p`` re-runs the
-    builder on the solve's context, so the solve's fuel also bounds the
-    work done through it."""
+    read from (a sequence or a partial function).  ``p`` finds the state
+    that filled ``n`` on its first call and re-runs the builder from it,
+    on the solve's context, so the solve's fuel also bounds the work done
+    through it."""
 
     f: InfSeq
     n: int
@@ -170,18 +173,23 @@ def reroot(cp: ChoiceParams, carrier: "FiniteSeq | PartialFn",
 
 def _solve(cp: ChoiceParams, carrier: "FiniteSeq | PartialFn",
            ctx: EvalContext) -> SpectorSolution:
-    """Read the solution off a built carrier: ``f`` is its extension,
-    ``n = control(f)`` must be filled exactly once, and ``p`` re-roots the
-    builder at the state that filled ``n``."""
+    """Read the solution off a built carrier: ``f`` is its extension and
+    ``n = control(f)``.  ``p`` is formed on its first call, on ``ctx``:
+    ``n`` must be filled exactly once, and ``p`` re-roots the builder at
+    the state that filled it."""
     f = extend_hat(carrier, cp.default)
     n = cp.control(f)
-    order = fill_order(cp, carrier, ctx)
-    if order.count(n) != 1:
-        raise InternalInvariantViolation(
-            "control value %r is filled %d times, not once"
-            % (n, order.count(n)))
-    return SpectorSolution(f=f, n=n, witness=carrier,
-                           p=reroot(cp, carrier, order, order.index(n), ctx))
+
+    @cache
+    def rooted() -> Callable[[Any], Any]:
+        order = fill_order(cp, carrier, ctx)
+        if order.count(n) != 1:
+            raise InternalInvariantViolation(
+                "control value %r is filled %d times, not once"
+                % (n, order.count(n)))
+        return reroot(cp, carrier, order, order.index(n), ctx)
+
+    return SpectorSolution(f=f, n=n, p=lambda x: rooted()(x), witness=carrier)
 
 
 def solve_spector(cp: ChoiceParams,
@@ -196,8 +204,9 @@ def solve_symmetric(cp: ChoiceParams,
                     ctx: EvalContext | None = None) -> SpectorSolution:
     """Solve the system with the demand-driven carrier grown from the
     empty partial function.  It is a thread of its own control, so its
-    update order is unique, and ``p`` re-roots the builder at the thread
-    prefix that was current when ``n`` was filled."""
+    update order is unique; ``p``, on its first call, walks that thread
+    and re-roots the builder at the prefix that was current when ``n``
+    was filled."""
     ctx = ctx or EvalContext()
     return _solve(cp, psi_symmetric(cp, EMPTY, ctx), ctx)
 

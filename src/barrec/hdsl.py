@@ -512,13 +512,11 @@ def cond_to_text(c: Cond) -> str:
     if isinstance(c, Cmp):
         return "%s %s %s" % (_operand(c.left, 0), c.op, _operand(c.right, 0))
     if isinstance(c, Conn):
-        # Printed in a loop along the left spine, like an operator chain.
-        tail = []
-        while isinstance(c, Conn):
-            if isinstance(c.right, (Conn, Not)):
-                raise ValueError(
-                    "condition is not grammar-derivable: %r" % (c,))
-            tail.append(" %s %s" % (c.op, cond_to_text(c.right)))
-            c = c.left
-        return cond_to_text(c) + "".join(reversed(tail))
+        # Printed along the left spine without recursing on it, as
+        # ``_compile`` folds it, so a chain's length costs no stack.
+        head, links = _spine(c, Conn)
+        if any(isinstance(link.right, (Conn, Not)) for link in links):
+            raise ValueError("condition is not grammar-derivable: %r" % (c,))
+        return cond_to_text(head) + "".join(
+            " %s %s" % (link.op, cond_to_text(link.right)) for link in links)
     raise TypeError("not a condition node: %r" % (c,))

@@ -179,31 +179,29 @@ def _build_stages(params: RecursorParams, decomp: list, ctx: EvalContext
     index (when that index was already staged) or pads it with restart
     slots up to the named index; either way the updated thread snapshot
     lands at the named index, so stage ``i+1`` has length ``n_i + 1``.
-    Restart slots are built left to right, each closing over the part of
-    the stage already built, which is all a restart needs to re-run the
-    sequential engine with its own position filled in."""
+    Stages are ``FiniteSeq`` views grown by ``append`` and cut by
+    ``take``, so they share their slots.  Restart slots are built left to
+    right, each closing over the view of the stage already built, which
+    is all a restart needs to re-run the sequential engine with its own
+    position filled in."""
     def zero_cont(_v: PartialFn, _x: Any) -> Any:
         return params.default_result
 
     lifted = _lift_staged(params, zero_cont)
     stages = [EMPTY_SEQ]
-    slots: list = []
     for k, (n, _) in enumerate(decomp):
-        thread = PartialFn(decomp[:k + 1])
-        if n < len(slots):
-            slots = slots[:n] + [YPair(thread, zero_cont)]
+        stage = stages[-1]
+        if n < len(stage):
+            stage = stage.take(n)
         else:
-            ds = diag_finite(FiniteSeq(slots))
-            new_slots = list(slots)
-            for pos in range(len(slots), n):
-                def rerun(slot: YPair,
-                          built: FiniteSeq = FiniteSeq(new_slots)) -> Any:
+            ds = diag_finite(stage)
+            for pos in range(len(stage), n):
+                def rerun(slot: YPair, built: FiniteSeq = stage) -> Any:
                     return br(lifted, built.append(slot), ctx)
 
-                new_slots.append(_slot(ds, pos, rerun, zero_cont))
-            new_slots.append(YPair(thread, zero_cont))
-            slots = new_slots
-        stages.append(FiniteSeq(slots))
+                stage = stage.append(_slot(ds, pos, rerun, zero_cont))
+        stages.append(stage.append(YPair(PartialFn(decomp[:k + 1]),
+                                         zero_cont)))
     return lifted, stages
 
 

@@ -193,12 +193,13 @@ def report_row(family: str, n: "int | None", recursor: str,
                valid: "bool | None" = None) -> dict:
     """One benchmark/solve report row; key order is the wire format.
 
-    Without a counterexample ``c`` the row reports a run that stopped
-    early: ``metrics`` holds the work done so far and the result fields
-    are ``None``."""
+    A solve reads no thread, so ``metrics.ticks`` is 0 and the row does
+    not carry it.  Without a counterexample ``c`` the row reports a run
+    that stopped early: ``calls`` holds the entries made so far and the
+    result fields are ``None``."""
     row = {"family": family, "n": n, "recursor": recursor,
            "mode": metrics.mode, "domain_size": None,
-           "calls": metrics.calls, "ticks": metrics.ticks, "i": None,
+           "calls": metrics.calls, "i": None,
            "alpha_prefix": None, "beta_prefix": None, "valid": valid}
     if c is not None:
         k = c.prefix_length()

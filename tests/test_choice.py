@@ -193,9 +193,36 @@ def test_p_runs_on_the_solve_fuel(solver, fuel, verifies):
     ids=["sequential-misses-n", "symmetric-misses-n", "not-a-thread"])
 def test_solve_refuses_a_carrier_its_argument_rules_out(
         monkeypatch, builder, solver, carrier, reason):
+    # The solve reads only f and n; p checks the carrier on its first call.
     monkeypatch.setattr(choice, builder, lambda cp, s, ctx=None: carrier)
+    sol = solver(constant_control_params(), EvalContext())
     with pytest.raises(InternalInvariantViolation, match=reason):
-        solver(constant_control_params(), EvalContext())
+        sol.p(0)
+
+
+def test_p_walks_the_thread_once_on_its_first_call(monkeypatch):
+    walks = []
+    decompose = choice.thread_decomposition
+    monkeypatch.setattr(choice, "thread_decomposition",
+                        lambda *args: walks.append(args) or decompose(*args))
+    cp = make_choice_params(builtin_h("leastinc", 20))
+    ctx = EvalContext()
+    sol = solve_symmetric(cp, ctx)
+    assert (ctx.ticks, len(walks)) == (0, 0)
+    assert verify_equations(sol, cp)  # calls p twice
+    assert ctx.ticks == len(sol.witness) > 1
+    assert len(walks) == 1
+
+
+def test_solve_returns_on_a_non_thread_and_p_refuses_it(monkeypatch):
+    carrier = PartialFn(((0, 5), (3, 1)))
+    monkeypatch.setattr(choice, "psi_symmetric",
+                        lambda cp, s, ctx=None: carrier)
+    ctx = EvalContext()
+    sol = solve_symmetric(constant_control_params(), ctx)
+    assert (sol.n, sol.witness, ctx.ticks) == (0, carrier, 0)
+    with pytest.raises(InternalInvariantViolation, match="not a thread"):
+        sol.p(0)
 
 
 def test_values_equal_on_functions_uses_window():

@@ -199,9 +199,10 @@ def test_bench_keeps_rows_when_a_cell_recurses_too_deep(capsys):
             ("memoized", "100", "", "fuel-exhausted")]
 
 
-# prod:12 on the demand-driven solver makes 3 calls and 1 tick but names
-# i = 4096, so its report reads 4,097 points of each of the two printed
-# prefixes.  The fuel left after the solve must cover both: 8,198 in all.
+# prod:12 on the demand-driven solver makes 3 calls and walks no thread but
+# names i = 4096, so its report reads 4,097 points of each of the two
+# printed prefixes.  The fuel left after the solve must cover both: 8,197
+# in all.
 PROD12_SYMMETRIC = ["--family", "prod", "--n", "12", "--recursor",
                     "symmetric", "--format", "csv"]
 
@@ -211,9 +212,9 @@ def test_fuel_bounds_the_printed_prefix(capsys):
             "--format", "csv"]
     assert cli.main(argv + ["--fuel", "4000"]) == 3
     assert capsys.readouterr().err == "error: fuel exhausted\n"
-    assert cli.main(argv + ["--fuel", "8197"]) == 3
+    assert cli.main(argv + ["--fuel", "8196"]) == 3
     assert capsys.readouterr().err == "error: fuel exhausted\n"
-    assert cli.main(argv + ["--fuel", "8198"]) == 0
+    assert cli.main(argv + ["--fuel", "8197"]) == 0
     capsys.readouterr()
     rc, out = run_main(["bench", "--fuel", "4000"] + PROD12_SYMMETRIC, capsys)
     assert rc == 0
@@ -222,8 +223,8 @@ def test_fuel_bounds_the_printed_prefix(capsys):
         == [("", "fuel-exhausted")] * 2
 
 
-@pytest.mark.parametrize("fuel, i, error", [("8197", "", "fuel-exhausted"),
-                                            ("8198", "4096", "")])
+@pytest.mark.parametrize("fuel, i, error", [("8196", "", "fuel-exhausted"),
+                                            ("8197", "4096", "")])
 def test_bench_fuel_covers_both_printed_prefixes(fuel, i, error, capsys):
     rc, out = run_main(["bench", "--fuel", fuel] + PROD12_SYMMETRIC, capsys)
     assert rc == 0

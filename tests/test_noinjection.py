@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from barrec import gen
+from barrec import choice, gen
 from barrec.choice import (psi_symmetric, phi_spector, solve_spector,
                            solve_symmetric)
 from barrec.context import MODES, EvalContext
@@ -97,6 +97,20 @@ def test_h_runs_only_at_control_evaluations(solve, family, n):
     ctx = EvalContext()
     solve(replace(cp, control=control), ctx)
     assert len(h_args) == len(control_args) == ctx.calls + 1 + ctx.ticks
+
+
+@pytest.mark.parametrize("recursor", RECURSORS)
+def test_counterexample_walks_no_thread(monkeypatch, recursor):
+    # A report reads alpha, i and beta off f and n; the solution's p, which
+    # walks the symmetric carrier's thread, is never called.
+    walks = []
+    decompose = choice.thread_decomposition
+    monkeypatch.setattr(choice, "thread_decomposition",
+                        lambda *args: walks.append(args) or decompose(*args))
+    h, ctx = builtin_h("leastinc", 20), EvalContext()
+    assert verify_counterexample(h, counterexample(h, recursor, ctx))
+    assert ctx.ticks == 0
+    assert walks == []
 
 
 def test_selection_reruns_h_on_a_probe_the_engine_did_not_stop_on():
@@ -227,12 +241,11 @@ def test_report_row_schema():
     c = counterexample(h, "symmetric", EvalContext())
     row = report_row("prod", 4, "symmetric", c.metrics, c, True)
     assert list(row) == ["family", "n", "recursor", "mode", "domain_size",
-                         "calls", "ticks", "i", "alpha_prefix",
-                         "beta_prefix", "valid"]
+                         "calls", "i", "alpha_prefix", "beta_prefix",
+                         "valid"]
     assert row["mode"] == "plain"
     assert row["domain_size"] == 1
-    assert (row["calls"], row["ticks"]) == (c.metrics.calls,
-                                            c.metrics.ticks)
+    assert row["calls"] == c.metrics.calls
     assert len(row["alpha_prefix"]) == max(c.i, 8) + 1
     assert row["valid"] is True
 
@@ -246,5 +259,5 @@ def test_report_row_without_counterexample_keeps_the_schema():
     assert list(row) == list(report_row("prod", 4, "symmetric", c.metrics, c))
     assert row == {"family": "prodpow", "n": 5, "recursor": "spector",
                    "mode": "memoized", "domain_size": None, "calls": 1,
-                   "ticks": 1, "i": None, "alpha_prefix": None,
-                   "beta_prefix": None, "valid": None}
+                   "i": None, "alpha_prefix": None, "beta_prefix": None,
+                   "valid": None}
