@@ -12,18 +12,18 @@ Two carrier builders, ``br`` and ``sbr`` under ``spector_params`` and
 ``symmetric_params``, each build a finite carrier whose canonical
 extension solves the system.  The sequential one grows a finite sequence
 one slot at a time in index order; the demand-driven one grows a finite
-partial function at exactly the indices the control asks for.  Both
-engines evaluate the control on the extension ``ChoiceParams.extend``
-forms, which keeps the last one formed: the selection's observation
-``q_hat`` of the child carrier the engine has just stopped on reads that
-extension, so an instance can recognise the observation of a carrier
-whose control value it has already computed.  Either
-carrier determines the solution, read in one place for both (``_solve``):
-``f`` is its extension and ``n`` the control's value there, and that is
-all a solve computes.  ``p`` is formed on its first call: it finds the
-state that filled ``n`` (``fill_order``) and re-runs the builder from
-there (``reroot``), both on the solve's own context, so the solve's fuel
-bounds the work done through ``p`` too.
+partial function at exactly the indices the control asks for.  The
+control the engines are given notes the extension it runs on, and the
+body keeps each stopped carrier with the extension its control stopped
+on: the selection's observation ``q_hat`` of the child carrier the
+engine has just stopped on reads that extension, so an instance can
+recognise the observation of a carrier whose control value it has
+already computed.  Either carrier determines the solution, read in one
+place for both (``_solve``): ``f`` is its extension and ``n`` the
+control's value there, and that is all a solve computes.  ``p`` is formed
+on its first call: it finds the state that filled ``n`` (``fill_order``)
+and re-runs the builder from there (``reroot``), both on the solve's own
+context, so the solve's fuel bounds the work done through ``p`` too.
 """
 
 from __future__ import annotations
@@ -52,17 +52,10 @@ class ChoiceParams:
     q: Callable[[InfSeq], Any]
     control: Callable[[InfSeq], int]
     default: Any
-    # The carrier the engines last extended, and that extension.
+    # The carrier the engines last stopped on, and the extension its
+    # control ran on.
     _last: list = field(default_factory=lambda: [(None, None)], init=False,
                         repr=False, compare=False)
-
-    def extend(self, carrier: "FiniteSeq | PartialFn") -> InfSeq:
-        """The canonical extension of ``carrier``, where the engines
-        evaluate the control.  The last one formed is kept, so that
-        ``q_hat`` of the same carrier observes that very extension."""
-        f = extend_hat(carrier, self.default)
-        self._last[0] = (carrier, f)
-        return f
 
     def q_hat(self, carrier: "FiniteSeq | PartialFn") -> Any:
         """The observation ``q`` of ``carrier``'s canonical extension."""
@@ -77,15 +70,27 @@ def _choice_params(cp: ChoiceParams,
                    zero: Any) -> RecursorParams:
     """The selection folded into a step functional: at the index ``n`` the
     engine fills, select ``a = eps_n(fun x -> q_hat(p(x)))`` and combine
-    the state with the child carrier ``p(a)``.  The body is the identity,
-    so the result is the carrier itself."""
+    the state with the child carrier ``p(a)``.  The body returns the
+    carrier itself.  The control notes the extension it runs on; a
+    stopping entry's body comes right after the control evaluation that
+    stopped it, so the body keeps its carrier with that extension in
+    ``cp._last``, where ``q_hat`` reads it."""
+    ran_on = [None]
+
+    def control(f: InfSeq) -> Any:
+        ran_on[0] = f
+        return cp.control(f)
+
+    def body(state: Any) -> Any:
+        cp._last[0] = (state, ran_on[0])
+        return state
+
     def step(state: Any, n: Any, p: Callable[[Any], Any]) -> Any:
         a = cp.eps(n)(lambda x: cp.q_hat(p(x)))
         return combine(state, p(a))
 
-    return RecursorParams(step=step, body=lambda state: state,
-                          control=cp.control, default=cp.default,
-                          default_result=zero, extend=cp.extend)
+    return RecursorParams(step=step, body=body, control=control,
+                          default=cp.default, default_result=zero)
 
 
 def spector_params(cp: ChoiceParams) -> RecursorParams:

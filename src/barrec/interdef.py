@@ -28,12 +28,6 @@ from .pfun import EMPTY, EMPTY_SEQ, FiniteSeq, InfSeq, PartialFn, extend_hat
 from .recursors import RecursorParams, br, sbr
 from .threads import stubborn_control, thread_decomposition
 
-__all__ = [
-    "TaggedValue", "YPair", "br_from_sbr", "diag_finite", "diag_infinite",
-    "theta_from_br", "sbr_from_br", "carrier_stages",
-]
-
-
 class TaggedValue(NamedTuple):
     """A value paired with a filled/unfilled flag (1 = filled)."""
 

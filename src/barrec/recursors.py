@@ -4,7 +4,8 @@
 the canonical extension falls below the length; ``sbr`` recurses over
 finite partial functions, updating at the index the control names and
 stopping as soon as that index is already defined.  Both evaluate the
-control once per entry, on the state, through ``control_hat``.
+control once per entry, on the state's canonical extension
+``extend_hat(state, default)``.
 ``theta`` is the thread-restricted variant of ``sbr`` that returns a
 supplied zero result on inputs the control could not itself have built.
 The choice solvers and the translations in ``interdef`` are
@@ -43,12 +44,13 @@ class RecursorParams:
     canonical extension to an index.  ``default`` is the zero of the value
     domain used to form extensions, and ``default_result`` is the zero of
     the result domain (only the thread-restricted recursor reads it).
-    ``extend`` forms a state's canonical extension where the engines
-    evaluate the control (``control_hat``); without it they form
-    ``extend_hat(state, default)``, and one passed in must return that
-    extension too.  It lets a parameterisation see the states the control
-    runs on.  Parameter sets compare by identity, which is how the memo
-    tells recursions apart.
+
+    A stopping entry applies ``body`` to its state right after the
+    control evaluation that stopped it, on that state's canonical
+    extension, with no other control evaluation in between; the choice
+    solvers rely on this order to pair a stopped carrier with the
+    extension its control ran on.  Parameter sets compare by identity,
+    which is how the memo tells recursions apart.
     """
 
     step: Callable[[Any, Any, Callable[[Any], Any]], Any]
@@ -56,13 +58,6 @@ class RecursorParams:
     control: Callable[[InfSeq], Any]
     default: Any
     default_result: Any = None
-    extend: Callable[[Any], InfSeq] | None = None
-
-    def control_hat(self, state: Any) -> Any:
-        """The control on the canonical extension of ``state``."""
-        extend = self.extend
-        return self.control(extend_hat(state, self.default) if extend is None
-                            else extend(state))
 
 
 def _memoized(ctx: EvalContext, params: RecursorParams,
@@ -94,7 +89,7 @@ def br(params: RecursorParams, s: FiniteSeq,
     def enter(s: FiniteSeq) -> Any:
         ctx.charge(len(s))
         n = len(s)
-        if params.control_hat(s) < n:
+        if params.control(extend_hat(s, params.default)) < n:
             return params.body(s)
         return params.step(s, n, sibling_cache(lambda x: run(s.append(x))))
 
@@ -121,7 +116,7 @@ def sbr(params: RecursorParams, u: PartialFn,
 
     def enter(u: PartialFn) -> Any:
         ctx.charge(len(u))
-        n = params.control_hat(u)
+        n = params.control(extend_hat(u, params.default))
         if u.defined_at(n):
             return params.body(u)
         return params.step(u, n, sibling_cache(lambda x: run(u.update(n, x))))

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from barrec import gen
+from barrec import gen, interdef
 from barrec.context import EvalContext, FuelExhausted
 from barrec.pfun import EMPTY, EMPTY_SEQ, FiniteSeq, PartialFn, extend_hat
 from barrec.recursors import RecursorParams, br, sbr, sbr_discrete, theta
@@ -233,3 +233,48 @@ def test_memoized_mode_agrees_with_plain():
     memo = EvalContext(mode="memoized")
     assert sbr(params, EMPTY, plain) == sbr(params, EMPTY, memo)
     assert memo.calls <= plain.calls
+
+
+def test_body_follows_the_control_that_stopped_on_its_state():
+    # The choice solvers pair a stopped carrier with the extension its
+    # control ran on, so each body call must come right after a control
+    # evaluation on its state's canonical extension, in both engines and
+    # both translations.
+    def logged(params, log):
+        def control(alpha):
+            log.append(("control", alpha))
+            return params.control(alpha)
+
+        def body(state):
+            log.append(("body", state))
+            return params.body(state)
+
+        return replace(params, control=control, body=body)
+
+    runs = {"br": lambda p, s, u: br(p, s),
+            "br_from_sbr": lambda p, s, u: interdef.br_from_sbr(p, s),
+            "sbr": lambda p, s, u: sbr(p, u),
+            "theta": lambda p, s, u: (theta(p, u), theta(p, EMPTY)),
+            "sbr_from_br": lambda p, s, u: interdef.sbr_from_br(p, u)}
+    bodies = dict.fromkeys(runs, 0)
+    for seed in range(200):
+        rng = random.Random(seed)
+        seq_params, s = gen.gen_br_instance(rng)
+        sym_params, u = gen.gen_sbr_instance(rng)
+        for name, run in runs.items():
+            params = seq_params if name.startswith("br") else sym_params
+            log = []
+            run(logged(params, log), s, u)
+            for k, (kind, state) in enumerate(log):
+                if kind != "body":
+                    continue
+                bodies[name] += 1
+                assert k > 0 and log[k - 1][0] == "control", (name, seed)
+                alpha = log[k - 1][1]
+                # One past the state's top index.
+                end = (len(state) if isinstance(state, FiniteSeq)
+                       else state.max_index() + 1 if len(state) else 0)
+                ext = extend_hat(state, params.default)
+                assert [alpha(i) for i in range(end + 8)] == \
+                    [ext(i) for i in range(end + 8)], (name, seed)
+    assert all(bodies.values()), bodies
