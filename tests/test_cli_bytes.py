@@ -36,6 +36,12 @@ COMMANDS = {
     "solve-prod6.json": ["solve", "--builtin", "prod:6", "--format", "json"],
     "solve-contrived3-dsl.json": ["solve", "--h", builtin_dsl("contrived", 3),
                                   "--format", "json"],
+    "solve-leastinc30-spector.json": ["solve", "--builtin", "leastinc:30",
+                                      "--recursor", "spector",
+                                      "--format", "json"],
+    "solve-leastinc50-symmetric.json": ["solve", "--builtin", "leastinc:50",
+                                        "--recursor", "symmetric",
+                                        "--format", "json"],
     "interdef-test-cases20-seed2.json": ["interdef-test", "--cases", "20",
                                          "--seed", "2"],
 }
