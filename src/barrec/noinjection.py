@@ -15,10 +15,18 @@ reads the collision off a solution: ``alpha = q(f)``, ``i = control(f)``,
 selection's probe ``p(zero)`` is ``q`` of the child carrier the engine
 has just stopped on, whose control value is ``H`` of that very probe, so
 the selection reads the value the control computed there; any other
-probe runs ``H``.  The verifier evaluates ``H`` itself.  Built-in ``H``
-families and a verifier for the produced collisions live here as well.  So do the report's axes, each declared
-once: the families with their ``bench`` ranges (``BENCH_RANGES``), the
-recursor names (``RECURSORS``) and the row schema (``report_row``).
+probe runs ``H``.  The verifier evaluates ``H`` itself.
+
+``q`` of a carrier's extension is a table built off the carrier, not a
+function that reads ``f(n)`` and then ``f(n)(n)``: every carrier value is
+itself such a table or the zero, so a read of ``q(f)`` is one lookup
+however deeply the values it reaches were built, and a value keeps its
+table alive, not the extension it was read through.
+
+Built-in ``H`` families and a verifier for the produced collisions live
+here as well.  So do the report's axes, each declared once: the families
+with their ``bench`` ranges (``BENCH_RANGES``), the recursor names
+(``RECURSORS``) and the row schema (``report_row``).
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ from typing import Callable
 
 from .choice import ChoiceParams, solve_spector, solve_symmetric
 from .context import EvalContext, Metrics
-from .pfun import InfSeq
+from .pfun import InfSeq, extend_table, extension_source
 
 HFunctional = Callable[[InfSeq], int]
 
@@ -117,16 +125,41 @@ def make_choice_params(h: HFunctional) -> ChoiceParams:
     its ``q``-sequence and ``H`` there as one record: ``q`` of that
     extension returns the kept sequence, and a selection whose probe is
     that sequence reads the kept ``H`` value.
+
+    ``q`` of a carrier's extension over the zero reads a diagonal table
+    built off the carrier (``pfun.extension_source``), not ``f`` point by
+    point.  A partial function's table maps each index ``n`` of an entry
+    ``(n, v)`` to ``v(n) + 1`` and reads 1, the zero's ``0 + 1``,
+    elsewhere, in C at an entry (``pfun.extend_table``).  A sequence's table
+    is a list ``d`` with ``d[i] = buf[i](i) + 1``, kept for the last
+    buffer seen and shared by every view of it: it grows to the view's
+    length on each ``q``, and a read of a view of length ``n`` is ``d[i]``
+    below ``n`` and 1 elsewhere.  Any other sequence is read as
+    ``f(num)(num) + 1``.
     """
     zero = InfSeq.constant(0)
     # The extension the control last ran on, its q-sequence and H there.
     last = [(None, None, None)]
+    # The buffer of the last sequence carrier q read, and its diagonal.
+    diag = [None, []]
+
+    def seq_diagonal(buf: list, n: int) -> InfSeq:
+        if diag[0] is not buf:
+            diag[:] = buf, []
+        d = diag[1]
+        d.extend(buf[i](i) + 1 for i in range(len(d), n))
+        return InfSeq(lambda i: d[i] if 0 <= i < n else 1)
 
     def q(f: InfSeq) -> InfSeq:
         ran_on, qf, _ = last[0]
         if ran_on is f:
             return qf
-        return InfSeq(lambda num: f(num)(num) + 1)
+        source = extension_source(f)
+        if source is None or source.default is not zero:
+            return InfSeq(lambda num: f(num)(num) + 1)
+        if isinstance(source, dict):
+            return extend_table({n: v(n) + 1 for n, v in source.items()}, 1)
+        return seq_diagonal(source.buf, source.n)
 
     def control(f: InfSeq) -> int:
         qf = q(f)

@@ -36,10 +36,14 @@ that already holds each of ``self``'s entries returns that carrier.
 Extension reads run in C where they can.  A ``PartialFn``'s extension reads
 an ``_Extension`` table, a ``dict`` whose ``__missing__`` returns the zero,
 so only a read outside the domain runs a Python frame; a constant sequence
-is ``partial(next, repeat(x))``.  ``InfSeq`` values are equal only when
-identical; they are never compared extensionally, only finite observations
-of them are.  Each value domain supplies its own canonical zero explicitly
-wherever an extension is formed; nothing here bakes in a zero for a type.
+is ``partial(next, repeat(x))``.  A ``FiniteSeq``'s extension reads a
+``_SeqExtension`` record through its bound ``read``.  Either extension's
+function is bound to the record it reads, and ``extension_source`` hands
+that record to a reader that builds a table off the carrier.  ``InfSeq``
+values are equal only when identical; they are never compared
+extensionally, only finite observations of them are.  Each value domain
+supplies its own canonical zero explicitly wherever an extension is
+formed; nothing here bakes in a zero for a type.
 """
 
 from __future__ import annotations
@@ -331,17 +335,50 @@ class _Extension(dict):
         return self.default
 
 
+class _SeqExtension:
+    """A sequence's view as the record its extension reads: slot ``i`` of
+    the first ``n`` slots of ``buf``, and ``default`` at every other
+    index.  ``read`` runs one Python frame per read, as a closure would."""
+
+    __slots__ = ("buf", "n", "default")
+
+    def read(self, i: Any) -> Any:
+        return self.buf[i] if 0 <= i < self.n else self.default
+
+
 def extend_hat(u: "PartialFn | FiniteSeq", default: Any) -> InfSeq:
     """Canonical extension: agree with ``u`` on its domain, return the
-    supplied zero everywhere else."""
+    supplied zero everywhere else.  Its function is a bound method of the
+    record it reads, which ``extension_source`` returns."""
     if isinstance(u, FiniteSeq):
-        buf, n = u._buf, u._n
-        return InfSeq(lambda i: buf[i] if 0 <= i < n else default)
+        view = _new(_SeqExtension)
+        view.buf, view.n, view.default = u._buf, u._n, default
+        return InfSeq(view.read)
     if isinstance(u, PartialFn):
-        table = _Extension(u.entries)
-        table.default = default
-        return InfSeq(table.__getitem__)
+        return extend_table(u.entries, default)
     raise TypeError("cannot extend %r" % type(u).__name__)
+
+
+def extend_table(pairs: Any, default: Any) -> InfSeq:
+    """The sequence that reads the table of ``pairs`` (a mapping, or
+    ``(index, value)`` pairs) at its indices and ``default`` elsewhere, in
+    C at a defined point: a partial function's extension, and any table a
+    reader builds off one."""
+    table = _Extension(pairs)
+    table.default = default
+    return InfSeq(table.__getitem__)
+
+
+def extension_source(alpha: InfSeq) -> Any:
+    """The carrier data an ``extend_hat`` extension reads, for a reader
+    that derives a table from it instead of reading ``alpha`` point by
+    point: a partial function's ``dict`` of index to value, whose
+    ``default`` is the zero; a sequence's record of ``buf``, ``n`` and
+    ``default``, whose slots below ``n`` are fixed once written, however
+    far ``buf`` grows.  ``None`` for any other sequence.  Neither may be
+    written to."""
+    source = getattr(alpha.func, "__self__", None)
+    return source if type(source) in (_Extension, _SeqExtension) else None
 
 
 def bounded_search(bound: int, pred: Callable[[int], bool]) -> int:

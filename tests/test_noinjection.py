@@ -2,6 +2,7 @@
 
 import gc
 import random
+import sys
 from dataclasses import replace
 
 import pytest
@@ -10,11 +11,11 @@ from barrec import choice, gen
 from barrec.choice import (psi_symmetric, phi_spector, solve_spector,
                            solve_symmetric)
 from barrec.context import MODES, EvalContext
-from barrec.noinjection import (RECURSORS, Counterexample, builtin_h,
-                                counterexample, make_choice_params,
+from barrec.noinjection import (BENCH_RANGES, RECURSORS, Counterexample,
+                                builtin_h, counterexample, make_choice_params,
                                 report_row, verify_counterexample)
 from barrec.pfun import EMPTY, EMPTY_SEQ, FiniteSeq, InfSeq, PartialFn, \
-    extend_hat
+    extend_hat, extension_source
 
 
 def _counting(fn):
@@ -129,6 +130,88 @@ def test_selection_reruns_h_on_a_probe_the_engine_did_not_stop_on():
         assert len(h_args) == calls + 1
         assert (read is stopped, rerun is fresh) == (n == 16, n == 16)
         assert read.prefix(20) == rerun.prefix(20)
+
+
+def _diagonal(f):
+    """The no-injection diagonal read point by point through ``f``."""
+    return InfSeq(lambda num: f(num)(num) + 1)
+
+
+def _python_frames(alpha, i):
+    """The number of Python frames one read ``alpha(i)`` runs."""
+    frames = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            frames.append(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        alpha(i)
+    finally:
+        sys.setprofile(None)
+    return len(frames)
+
+
+def _reads_below_top(carrier):
+    """Indices from -1 to two past the top of ``carrier``: its length for a
+    sequence, its largest index plus one for a partial function."""
+    if isinstance(carrier, FiniteSeq):
+        top = len(carrier)
+    else:
+        top = max(carrier.domain(), default=-1) + 1
+    return range(-1, top + 3)
+
+
+@pytest.mark.parametrize("family", sorted(BENCH_RANGES))
+@pytest.mark.parametrize("solve", [solve_spector, solve_symmetric])
+def test_table_backed_diagonal_reads_as_the_plain_one(solve, family):
+    cp = make_choice_params(builtin_h(family, BENCH_RANGES[family][0]))
+    carrier = solve(cp, EvalContext()).witness
+    f = extend_hat(carrier, cp.default)
+    assert extension_source(f) is not None
+    table = cp.q(f)
+    points = _reads_below_top(carrier)
+    assert table.prefix(0) == [] and \
+        list(map(table, points)) == list(map(_diagonal(f), points))
+    # One read is one lookup, however deeply the carrier's values nest: in
+    # C at a partial function's entry, else one frame.
+    def frames(i):
+        return 0 if isinstance(carrier, PartialFn) and \
+            carrier.defined_at(i) else 1
+
+    assert all(_python_frames(table, i) == frames(i) for i in points)
+
+
+def test_sibling_sequence_views_read_their_own_diagonals():
+    def seq(k):
+        return InfSeq(lambda i: 10 * k + i)
+
+    s = FiniteSeq(seq(k) for k in range(4))
+    t = s.take(2).append(seq(7))
+    assert t._buf is not s._buf
+    cp = make_choice_params(builtin_h("prod", 4))
+    # Queried in turn, each view switches the one-buffer table, so a table
+    # kept for the other buffer or for a shorter view would read wrong.
+    for view in (s.take(1), t, s, t.take(2), s.take(3), t, s):
+        f = extend_hat(view, cp.default)
+        table = cp.q(f)
+        points = range(-1, len(view) + 3)
+        assert list(map(table, points)) == list(map(_diagonal(f), points))
+    assert cp.q(extend_hat(t, cp.default)).prefix(5) == [1, 12, 73, 1, 1]
+    assert cp.q(extend_hat(s, cp.default)).prefix(5) == [1, 12, 23, 34, 1]
+
+
+def test_other_sequences_take_the_plain_diagonal():
+    cp = make_choice_params(builtin_h("prod", 4))
+    zero_family = InfSeq.constant(cp.default)
+    assert extension_source(zero_family) is None
+    assert cp.q(zero_family).prefix(4) == [1, 1, 1, 1]
+    # A carrier extended by another default reads that default's diagonal.
+    three = InfSeq(lambda i: 3 + i)
+    for carrier in (FiniteSeq((cp.default,)), PartialFn.single(0, cp.default)):
+        f = extend_hat(carrier, three)
+        assert cp.q(f).prefix(4) == _diagonal(f).prefix(4) == [1, 5, 6, 7]
 
 
 def test_verifier_evaluates_h_on_both_sequences():

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from barrec.context import sibling_cache
 from barrec.pfun import (EMPTY, FiniteSeq, InfSeq, PartialFn, _seq_view,
-                         bounded_search, extend_hat)
+                         bounded_search, extend_hat, extend_table,
+                         extension_source)
 
 indices = st.integers(min_value=0, max_value=30)
 values = st.integers(min_value=0, max_value=9)
@@ -243,6 +244,23 @@ def test_partial_fn_extension_reads(entries, undefined):
     # A miss inserts nothing, so the table stays the partial function.
     assert dict(alpha.func.__self__) == dict(entries)
     assert extend_hat(u, None).prefix(0) == []
+
+
+def test_extension_source_is_the_record_the_extension_reads():
+    u = PartialFn(((0, "a"), (3, "b")))
+    table = extension_source(extend_hat(u, "zero"))
+    assert dict(table) == dict(u.entries) and table.default == "zero"
+    s = FiniteSeq(("a", "b", "c")).take(2)
+    view = extension_source(extend_hat(s, "zero"))
+    assert view.buf is s._buf and view.n == 2 and view.default == "zero"
+    assert extend_hat(s, "zero").prefix(4) == ["a", "b", "zero", "zero"]
+    built = extend_table({1: "x"}, "zero")
+    assert extension_source(built) == {1: "x"}
+    assert built.prefix(3) == ["zero", "x", "zero"]
+    # Any other sequence has no source, whatever its function is bound to.
+    for alpha in (InfSeq.constant(0), InfSeq(lambda i: i),
+                  InfSeq(["a"].__getitem__), InfSeq({0: "a"}.__getitem__)):
+        assert extension_source(alpha) is None
 
 
 def test_json_forms():
