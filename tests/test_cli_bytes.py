@@ -39,6 +39,10 @@ COMMANDS = {
     "solve-leastinc30-spector.json": ["solve", "--builtin", "leastinc:30",
                                       "--recursor", "spector",
                                       "--format", "json"],
+    "solve-leastinc30-dsl-spector.json": ["solve", "--h",
+                                          builtin_dsl("leastinc", 30),
+                                          "--recursor", "spector",
+                                          "--format", "json"],
     "solve-leastinc50-symmetric.json": ["solve", "--builtin", "leastinc:50",
                                         "--recursor", "symmetric",
                                         "--format", "json"],
