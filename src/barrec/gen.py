@@ -9,6 +9,7 @@ Value and result domains are the naturals throughout.
 
 from __future__ import annotations
 
+import operator
 import random
 from typing import Any, Callable
 
@@ -27,11 +28,13 @@ def gen_control(rng: random.Random) -> Callable[[InfSeq], int]:
     shape = rng.randrange(4)
     coeffs = [rng.randint(0, 4) for _ in range(k)]
     offset = rng.randint(0, 6)
+    points = range(k)
 
     def control(alpha: InfSeq) -> int:
-        xs = [alpha(i) for i in range(k)]
+        # ``map`` makes the reads, with no frame of its own per point.
+        xs = list(map(alpha, points))
         if shape == 0:
-            acc = offset + sum(c * x for c, x in zip(coeffs, xs))
+            acc = offset + sum(map(operator.mul, coeffs, xs))
         elif shape == 1:
             acc = max(xs) + offset
         elif shape == 2:
@@ -133,6 +136,7 @@ def gen_choice_instance(rng: random.Random) -> ChoiceParams:
     j = rng.randint(1, 4)
     w = [rng.randint(0, 3) for _ in range(j)]
     cq = rng.randint(0, 6)
+    points = range(j)
 
     def eps(n: int) -> Callable[[Callable[[int], int]], int]:
         def select(p: Callable[[int], int]) -> int:
@@ -140,7 +144,7 @@ def gen_choice_instance(rng: random.Random) -> ChoiceParams:
         return select
 
     def q(f: InfSeq) -> int:
-        return sum(wi * f(i) for i, wi in enumerate(w)) + cq
+        return sum(map(operator.mul, w, map(f, points))) + cq
 
     return ChoiceParams(eps=eps, q=q, control=control, default=0)
 
