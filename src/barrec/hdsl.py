@@ -25,16 +25,21 @@ closed term denotes a total functional that inspects ``gamma`` at
 finitely many points per evaluation.  ``parse`` refuses terms nested more
 than ``MAX_DEPTH`` levels deep.
 
-``as_functional`` compiles a term once into nested closures, with each
-binder variable in a slot fixed at compile time, so evaluating it walks
-no syntax tree.  Operator and ``and``/``or`` chains compile to one
-closure that folds them in a loop, so a chain of any length costs no
-stack.
+``as_functional`` emits Python source for the whole term and passes it
+to ``compile()`` once.  Each binder is a ``for`` loop over a local
+variable, each ``g(e)`` a call of ``gamma`` and each ``if``, ``and`` and
+``or`` Python's own lazy form, so evaluating the term walks no syntax
+tree and runs in one frame.  What still costs frames is a read of
+``gamma``, which runs the sequence's own function, and a subterm nested
+deeper than one generated function holds (``_MAX_LOOPS`` binders or
+``_MAX_INDENT`` blocks), which becomes a function of its own and costs a
+frame per evaluation.  Compiling is the price: about 100-150 µs per
+small term on CPython 3.11, several times what building a tree of
+closures costs, repaid once a term is evaluated a few hundred times.
 """
 
 from __future__ import annotations
 
-import operator
 import re
 import sys
 from dataclasses import dataclass
@@ -165,11 +170,13 @@ _ATOM_HEADS = ("NAT", "IDENT", "g", "(") + _GREEDY_HEADS
 # operand without parentheses is one more, for the parentheses the
 # printer adds; so every term ``parse`` accepts prints within the bound.
 # Operator and connective chains are no deeper than their operands: they
-# are parsed, compiled, evaluated and printed in loops.  The costliest
+# are parsed, emitted, evaluated and printed in loops.  The costliest
 # construct is a parenthesised ``if`` in the condition of the next, eleven
 # parser frames for its two levels, so a term at the bound parses within
-# the default recursion limit of 1,000.  Compiling or evaluating a term
-# takes at most two frames per level, and printing it fewer than parsing.
+# the default recursion limit of 1,000.  Emitting a term's source takes
+# at most three frames per level and printing it fewer than parsing; the
+# compiled term runs in one frame, plus one per generated function it
+# calls.
 MAX_DEPTH = 100
 
 
@@ -333,14 +340,36 @@ def parse(text: str) -> Expr:
     return e
 
 
-_ARITH = {"+": operator.add, "-": lambda a, b: a - b if a > b else 0,
-          "*": operator.mul, "^": operator.pow}
-_CMP = {"<": operator.lt, "<=": operator.le, "=": operator.eq,
-        "!=": operator.ne}
+# Python precedence levels of the generated source, loosest first: a
+# conditional expression, ``or``, ``and``, ``not``, a comparison, ``+``,
+# ``*``, ``**``, and an atom (a name, a numeral, a call or a parenthesised
+# expression).
+_ATOM = 8
+# Each arithmetic operator as a template over the source of its operands,
+# the precedence of the result and the least precedence each operand
+# takes without parentheses.  ``^`` associates to the left as ``**`` does
+# not.  Subtraction is truncated through a temporary, ``t``, holding the
+# difference, so each operand is evaluated once.
+_ARITH = {"+": ("%(a)s + %(b)s", 5, 5, 6),
+          "-": ("(0 if (%(t)s := %(a)s - %(b)s) < 0 else %(t)s)", _ATOM, 5, 6),
+          "*": ("%(a)s * %(b)s", 6, 6, 7),
+          "^": ("%(a)s ** %(b)s", 7, _ATOM, 7)}
+_CMP = {"<": "<", "<=": "<=", "=": "==", "!=": "!="}
 ARITH_OPS = tuple(_ARITH)
 CMP_OPS = tuple(_CMP)
-# The operator of each fold and its unit.
-_FOLD = {"prod": (operator.mul, 1), "sum": (operator.add, 0)}
+# The unit and operator of each fold.
+_FOLD = {"prod": ("1", "*"), "sum": ("0", "+")}
+
+# Bounds that keep generated source within what CPython compiles: its
+# tokenizer allows 200 nested parentheses and 100 levels of indentation,
+# and its compiler 20 nested loops in one function.  Each operator, call
+# and connective nests its operands one level, and an expression nested
+# deeper than ``_MAX_NESTING`` is bound to a temporary, so a chain of any
+# length compiles in chunks.  A block or binder nested deeper than its
+# bound moves into a function of its own.
+_MAX_NESTING = 50
+_MAX_INDENT = 48
+_MAX_LOOPS = 16
 
 
 def _spine(e, kind: type) -> tuple:
@@ -353,114 +382,239 @@ def _spine(e, kind: type) -> tuple:
     return e, links[::-1]
 
 
-def _slot(scope: tuple, name: str) -> int:
-    """The slot of the innermost binder of ``name``."""
-    return len(scope) - 1 - scope[::-1].index(name)
+def _wrap(x: tuple, prec: int) -> str:
+    """The source of expression ``x`` as an operand that needs precedence
+    ``prec``."""
+    return x[0] if x[1] >= prec else "(%s)" % x[0]
 
 
-def _compile(e: "Expr | Cond", scope: tuple, width: list) -> Callable:
-    """``e`` as a closure ``(gamma, slots) -> int``, or ``-> bool`` for a
-    condition.  ``scope`` names the variable held in each slot, outermost
-    binder first; ``width[0]`` grows to the number of slots the whole term
-    needs."""
-    if isinstance(e, Nat):
-        value = e.value
-        return lambda g, s: value
-    if isinstance(e, Var):
-        slot = _slot(scope, e.name)
-        return lambda g, s: s[slot]
-    if isinstance(e, Gamma):
-        # ``g(i)``, the commonest read, takes its slot without a call.
-        if isinstance(e.arg, Var):
-            slot = _slot(scope, e.arg.name)
-            return lambda g, s: g(s[slot])
-        arg = _compile(e.arg, scope, width)
-        return lambda g, s: g(arg(g, s))
-    if isinstance(e, BinOp):
+class _Emitter:
+    """Python source for a term.  Each expression is returned as its
+    source, its precedence and how deep it nests; statements it needs
+    first go to ``lines``, the body of the function being emitted.  Every
+    name in the source is generated: ``_g`` for the argument sequence,
+    ``_r`` for ``range`` and ``_`` plus a letter and a counter for
+    functions (``f``), variables (``v``), temporaries (``t``) and numerals
+    too large to print (``k``).  So no text of the term reaches the source
+    except numerals."""
+
+    def __init__(self):
+        self.defs = []
+        self.consts = {"_r": range}
+        self.count = 0
+        self.lines = []
+        self.indent = 0
+        self.loops = 0
+
+    def fresh(self, kind: str) -> str:
+        self.count += 1
+        return "_%s%d" % (kind, self.count)
+
+    def emit(self, line: str) -> None:
+        self.lines.append("    " * self.indent + line)
+
+    def function(self, e, scope: dict) -> str:
+        """Define a function of ``_g`` and the variables of ``scope`` that
+        returns the value of ``e``, and return its name."""
+        outer = self.lines, self.indent, self.loops
+        self.lines, self.indent, self.loops = [], 1, 0
+        value = self.expr(e, scope)[0]
+        name = self.fresh("f")
+        self.defs.append("def %s(%s):\n%s    return %s\n" % (
+            name, ", ".join(("_g", *scope.values())),
+            "".join(line + "\n" for line in self.lines), value))
+        self.lines, self.indent, self.loops = outer
+        return name
+
+    def bind(self, value: str) -> str:
+        t = self.fresh("t")
+        self.emit("%s = %s" % (t, value))
+        return t
+
+    def nest(self, value: str, prec: int, *operands: tuple) -> tuple:
+        """The expression ``value`` over ``operands``, bound to a
+        temporary if it nests too deep."""
+        depth = 1 + max(x[2] for x in operands)
+        if depth > _MAX_NESTING:
+            return self.bind(value), _ATOM, 0
+        return value, prec, depth
+
+    def after(self, first: tuple, e, scope: dict) -> tuple:
+        """Emit ``e`` to be evaluated after the expression ``first``.  If
+        ``e`` needs statements, ``first`` is bound to a temporary ahead of
+        them, so the points of ``gamma`` are still read in order."""
+        mark = len(self.lines)
+        second = self.expr(e, scope)
+        if len(self.lines) > mark and first[2]:
+            t = self.fresh("t")
+            self.lines.insert(mark, "    " * self.indent
+                              + "%s = %s" % (t, first[0]))
+            first = t, _ATOM, 0
+        return first, second
+
+    def branch(self, e, scope: dict) -> tuple:
+        """``e`` emitted one level deeper, with the statements it needs
+        kept apart, for a branch taken only when a condition decides."""
+        outer = self.lines
+        self.lines = []
+        self.indent += 1
+        value = self.expr(e, scope)
+        lines, self.lines = self.lines, outer
+        self.indent -= 1
+        return lines, value
+
+    def expr(self, e, scope: dict) -> tuple:
+        """The expression of term or condition ``e``; ``scope`` maps each
+        variable to its generated name."""
+        kind = type(e)
+        if kind not in _EMIT:
+            raise TypeError("not a term or condition node: %r" % (e,))
+        if (self.indent >= _MAX_INDENT and kind in _BLOCKS
+                or self.loops >= _MAX_LOOPS and kind in (Fold, Search)):
+            return "%s(%s)" % (self.function(e, scope),
+                               ", ".join(("_g", *scope.values()))), _ATOM, 1
+        return _EMIT[kind](self, e, scope)
+
+    def nat(self, e: Nat, scope: dict) -> tuple:
+        if type(e.value) is int and 0 <= e.value < 1 << 64:
+            return str(e.value), _ATOM, 0
+        k = self.fresh("k")
+        self.consts[k] = e.value
+        return k, _ATOM, 0
+
+    def var(self, e: Var, scope: dict) -> tuple:
+        if e.name not in scope:
+            raise ValueError("unbound variable %r" % (e.name,))
+        return scope[e.name], _ATOM, 0
+
+    def gamma(self, e: Gamma, scope: dict) -> tuple:
+        arg = self.expr(e.arg, scope)
+        return self.nest("_g(%s)" % arg[0], _ATOM, arg)
+
+    def binop(self, e: BinOp, scope: dict) -> tuple:
         head, links = _spine(e, BinOp)
-        head = _compile(head, scope, width)
-        # Likewise the numeral of ``i + 1``.
-        if len(links) == 1 and isinstance(e.right, Nat):
-            op, value = _ARITH[e.op], e.right.value
-            return lambda g, s: op(head(g, s), value)
-        pairs = [(_ARITH[link.op], _compile(link.right, scope, width))
-                 for link in links]
+        acc = self.expr(head, scope)
+        for link in links:
+            template, prec, left, right = _ARITH[link.op]
+            acc, b = self.after(acc, link.right, scope)
+            acc = self.nest(template % {
+                "a": _wrap(acc, left), "b": _wrap(b, right),
+                "t": self.fresh("t") if link.op == "-" else ""},
+                prec, acc, b)
+        return acc
 
-        def fold_chain(g, s):
-            acc = head(g, s)
-            for op, operand in pairs:
-                acc = op(acc, operand(g, s))
-            return acc
-        return fold_chain
-    if isinstance(e, (Fold, Search)):
-        slot = len(scope)
-        width[0] = max(width[0], slot + 1)
-        bound = _compile(e.bound, scope, width)
-        inner = scope + (e.var,)
-        if isinstance(e, Fold):
-            body = _compile(e.body, inner, width)
-            op, acc0 = _FOLD[e.op]
+    def fold(self, e: Fold, scope: dict) -> tuple:
+        unit, op = _FOLD[e.op]
+        bound = self.expr(e.bound, scope)
+        acc, var = self.fresh("t"), self.fresh("v")
+        self.emit("%s = %s" % (acc, unit))
+        self.emit("for %s in _r(%s):" % (var, bound[0]))
+        self.indent += 1
+        self.loops += 1
+        body = self.expr(e.body, {**scope, e.var: var})
+        self.emit("%s = %s %s %s" % (acc, acc, op, _wrap(body, _ARITH[op][3])))
+        self.indent -= 1
+        self.loops -= 1
+        return acc, _ATOM, 0
 
-            def fold_range(g, s):
-                acc = acc0
-                for i in range(bound(g, s)):
-                    s[slot] = i
-                    acc = op(acc, body(g, s))
-                return acc
-            return fold_range
-        cond = _compile(e.cond, inner, width)
-        orelse = _compile(e.orelse, scope, width)
-        least = e.op == "least"
+    def search(self, e: Search, scope: dict) -> tuple:
+        bound = self.expr(e.bound, scope)
+        found, var = self.fresh("t"), self.fresh("v")
+        if e.op == "least":
+            self.emit("for %s in _r(%s + 1):" % (var, _wrap(bound, 5)))
+        else:
+            self.emit("for %s in _r(%s, -1, -1):" % (var, bound[0]))
+        self.indent += 1
+        self.loops += 1
+        cond = self.expr(e.cond, {**scope, e.var: var})
+        self.emit("if %s:" % cond[0])
+        self.emit("    %s = %s" % (found, var))
+        self.emit("    break")
+        self.indent -= 1
+        self.loops -= 1
+        self.emit("else:")
+        lines, orelse = self.branch(e.orelse, scope)
+        self.lines += lines
+        self.emit("    %s = %s" % (found, orelse[0]))
+        return found, _ATOM, 0
 
-        def search(g, s):
-            top = bound(g, s)
-            for i in range(top + 1) if least else range(top, -1, -1):
-                s[slot] = i
-                if cond(g, s):
-                    return i
-            return orelse(g, s)
-        return search
-    if isinstance(e, If):
-        cond = _compile(e.cond, scope, width)
-        then = _compile(e.then, scope, width)
-        orelse = _compile(e.orelse, scope, width)
-        return lambda g, s: then(g, s) if cond(g, s) else orelse(g, s)
-    if isinstance(e, Cmp):
+    def if_(self, e: If, scope: dict) -> tuple:
+        cond = self.expr(e.cond, scope)
+        then_lines, then = self.branch(e.then, scope)
+        else_lines, orelse = self.branch(e.orelse, scope)
+        if not then_lines and not else_lines:
+            return self.nest("%s if %s else %s" % (
+                _wrap(then, 1), _wrap(cond, 1), orelse[0]),
+                0, then, cond, orelse)
+        t = self.fresh("t")
+        self.emit("if %s:" % cond[0])
+        self.lines += then_lines
+        self.emit("    %s = %s" % (t, then[0]))
+        self.emit("else:")
+        self.lines += else_lines
+        self.emit("    %s = %s" % (t, orelse[0]))
+        return t, _ATOM, 0
+
+    def cmp(self, e: Cmp, scope: dict) -> tuple:
         op = _CMP[e.op]
-        left = _compile(e.left, scope, width)
-        right = _compile(e.right, scope, width)
-        return lambda g, s: op(left(g, s), right(g, s))
-    if isinstance(e, Not):
-        inner = _compile(e.cond, scope, width)
-        return lambda g, s: not inner(g, s)
-    if isinstance(e, Conn):
-        head, links = _spine(e, Conn)
-        head = _compile(head, scope, width)
-        pairs = [(link.op == "and", _compile(link.right, scope, width))
-                 for link in links]
+        left, right = self.after(self.expr(e.left, scope), e.right, scope)
+        return self.nest("%s %s %s" % (_wrap(left, 5), op, _wrap(right, 5)),
+                         4, left, right)
 
-        def fold_chain(g, s):
-            acc = head(g, s)
-            for is_and, right in pairs:
-                # The right side decides only after a true left side
-                # under ``and`` and after a false one under ``or``.
-                if acc == is_and:
-                    acc = right(g, s)
-            return acc
-        return fold_chain
-    raise TypeError("not a term or condition node: %r" % (e,))
+    def not_(self, e: Not, scope: dict) -> tuple:
+        cond = self.expr(e.cond, scope)
+        return self.nest("not %s" % _wrap(cond, 3), 3, cond)
+
+    def conn(self, e: Conn, scope: dict) -> tuple:
+        """A left-nested chain: each link reads its right side only when
+        the value so far does not decide it, as Python's ``and`` and
+        ``or`` do.  A right side that needs statements runs under an
+        ``if`` on the value so far, held in a temporary of its own."""
+        head, links = _spine(e, Conn)
+        acc = self.expr(head, scope)
+        held = None
+        for link in links:
+            prec = 2 if link.op == "and" else 1
+            lines, right = self.branch(link.right, scope)
+            if not lines:
+                acc = self.nest("%s %s %s" % (
+                    _wrap(acc, prec), link.op, _wrap(right, prec + 1)),
+                    prec, acc, right)
+                continue
+            if acc[0] != held:
+                held = self.bind(acc[0])
+                acc = held, _ATOM, 0
+            self.emit(("if %s:" if link.op == "and" else "if not %s:") % held)
+            self.lines += lines
+            self.emit("    %s = %s" % (held, right[0]))
+        return acc
+
+
+_EMIT = {Nat: _Emitter.nat, Var: _Emitter.var, Gamma: _Emitter.gamma,
+         BinOp: _Emitter.binop, Fold: _Emitter.fold,
+         Search: _Emitter.search, If: _Emitter.if_, Cmp: _Emitter.cmp,
+         Not: _Emitter.not_, Conn: _Emitter.conn}
+# The nodes that may emit blocks.
+_BLOCKS = (Fold, Search, If, Conn)
+
+
+def _source(e: Expr) -> tuple:
+    """The generated source of ``e``, the constants it reads and the name
+    of the function it defines for ``e``."""
+    emitter = _Emitter()
+    name = emitter.function(e, {})
+    return "".join(emitter.defs), emitter.consts, name
 
 
 def as_functional(e: Expr) -> Callable[[InfSeq], int]:
-    """Compile a closed term once into a reusable pure functional: nested
-    closures ``(gamma, slots) -> int`` with chains folded in loops, where
-    the variable of the binder ``d`` levels deep reads ``slots[d]``.  Each
-    call allocates its own slots, so the functional stays re-entrant when
-    a read of ``gamma`` calls it again."""
-    width = [0]
-    f = _compile(e, (), width)
-    k = width[0]
-    return lambda gamma: f(gamma, [0] * k)
+    """Compile a closed term once into a reusable pure functional: Python
+    source for the whole term, passed to ``compile()`` once, where each
+    binder is a ``for`` loop over a local variable.  Each call runs in a
+    frame of its own, so the functional stays re-entrant when a read of
+    ``gamma`` calls it again."""
+    source, namespace, name = _source(e)
+    exec(compile(source, "<hdsl>", "exec"), namespace)
+    return namespace[name]
 
 
 def _operand(e: Expr, prec: int) -> str:
