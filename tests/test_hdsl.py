@@ -1,16 +1,22 @@
 """Parser, compiler, and printer of the control DSL."""
 
+import io
 import random
+import re
 import sys
+import tokenize
 from itertools import product
 from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from barrec import gen
 from barrec.hdsl import (MAX_DEPTH, BinOp, Cmp, Cond, Conn, Expr, Fold, Gamma,
                          If, Nat, Not, ParseError, Search, UnboundVariable,
-                         Var, as_functional, cond_to_text, parse, to_text)
+                         Var, _source, as_functional, cond_to_text, parse,
+                         to_text)
 from barrec.noinjection import builtin_dsl, builtin_h
 from barrec.pfun import InfSeq, PartialFn, extend_hat
 
@@ -130,6 +136,9 @@ def test_precedence_and_associativity():
     assert parse("7 - 2 - 1") == \
         BinOp("-", BinOp("-", Nat(7), Nat(2)), Nat(1))
     assert as_functional(parse("7 - 2 - 1"))(InfSeq.constant(0)) == 4
+    # ``^`` associates to the left, unlike Python's ``**``.
+    assert as_functional(parse("2 ^ 3 ^ 2"))(InfSeq.constant(0)) == 64
+    assert as_functional(parse("2 ^ (3 ^ 2)"))(InfSeq.constant(0)) == 512
 
 
 def test_eval_examples():
@@ -317,3 +326,174 @@ def test_connectives_read_the_right_side_only_when_the_left_does_not_decide(
 def test_compile_rejects_a_non_node():
     with pytest.raises(TypeError):
         as_functional("g(0)")
+
+
+def _reference(e, g, env={}):
+    """The value of ``e`` on ``g`` by walking the tree: the DSL's semantics
+    written once more, apart from the compiler, to test it against."""
+    def ev(x, env=env):
+        return _reference(x, g, env)
+    if isinstance(e, Nat):
+        return e.value
+    if isinstance(e, Var):
+        return env[e.name]
+    if isinstance(e, Gamma):
+        return g(ev(e.arg))
+    if isinstance(e, BinOp):
+        a, b = ev(e.left), ev(e.right)
+        return (a + b if e.op == "+" else max(a - b, 0) if e.op == "-"
+                else a * b if e.op == "*" else a ** b)
+    if isinstance(e, Fold):
+        acc = 1 if e.op == "prod" else 0
+        for i in range(ev(e.bound)):
+            v = ev(e.body, {**env, e.var: i})
+            acc = acc * v if e.op == "prod" else acc + v
+        return acc
+    if isinstance(e, Search):
+        top = ev(e.bound)
+        for i in range(top + 1) if e.op == "least" else range(top, -1, -1):
+            if ev(e.cond, {**env, e.var: i}):
+                return i
+        return ev(e.orelse)
+    if isinstance(e, If):
+        return ev(e.then) if ev(e.cond) else ev(e.orelse)
+    if isinstance(e, Cmp):
+        a, b = ev(e.left), ev(e.right)
+        return {"<": a < b, "<=": a <= b, "=": a == b, "!=": a != b}[e.op]
+    if isinstance(e, Not):
+        return not ev(e.cond)
+    left = ev(e.left)
+    if e.op == "and":
+        return left and ev(e.right)
+    return left or ev(e.right)
+
+
+def _agrees_with_reference(e, alpha):
+    got = _value_and_reads(as_functional(e), alpha)
+    assert got == _value_and_reads(lambda g: _reference(e, g), alpha)
+    return got[0]
+
+
+@pytest.mark.parametrize("text", [
+    "5 - (2 + 3)", "5 - (2 - 3)", "9 - 2 - 3", "9 - 2 + 3", "2 * (3 + 4)",
+    "2 * (3 - 4)", "2 * (4 - 3) * 5", "(2 * 3) ^ 2", "2 ^ (1 + 1)",
+    "2 ^ (3 * 1)", "(1 + 2) ^ 2", "(2 ^ 0) ^ g(1)", "g(2 - g(0)) * (1 + 1)",
+    "(if 1 < 0 then 2 else 3) + 1", "1 + (if 1 < 0 then 2 else 3) * 2",
+    "if (if 0 < 1 then 0 else 1) < 1 then 4 else 5",
+    "if 1 < 0 then (if 0 < 1 then 2 else 3) else 4",
+    "if not 1 < 0 or 0 < 1 then 1 else 0",
+    "if 0 < 1 or 1 < 0 and 1 < 0 then 1 else 0",
+    "if 1 < 0 and 1 < 0 or 0 < 1 then 1 else 0",
+    "least i <= 3 - 1 st g(i) = g(0) + 1 else 9 - 2",
+])
+def test_operands_group_as_the_term_does(text):
+    # Each operand is parenthesised by Python precedence only where it
+    # needs to be; a missing pair regroups the term.
+    for alpha in (InfSeq.constant(0), InfSeq(lambda i: i % 3)):
+        _agrees_with_reference(parse(text), alpha)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_compiled_terms_read_and_answer_like_the_reference(rng):
+    # The same value and the same points of gamma in the same order, on
+    # every form the generator builds: lazy if, left-nested and/or
+    # chains, shadowing binders and the bounds of each binder.
+    e = gen.gen_hexpr(rng, depth=rng.randint(0, 4))
+    _agrees_with_reference(e, gen.gen_alpha(rng))
+
+
+@pytest.fixture
+def default_recursion_limit():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    yield
+    sys.setrecursionlimit(limit)
+
+
+def _at_the_bound(deepest, deeper):
+    """``deepest`` parsed, after checking that ``deeper`` is one level
+    past ``MAX_DEPTH``."""
+    with pytest.raises(ParseError, match="nesting at most"):
+        parse(deeper)
+    return parse(deepest)
+
+
+def _binders(n):
+    """``n`` nested binders over one index each, ``prod`` and ``sum`` in
+    turn and a ``least`` innermost, which reads ``g`` at the outermost
+    binder's variable."""
+    text = "least v%d <= 2 st v%d = g(v0) else 7" % (n - 1, n - 1)
+    for k in reversed(range(n - 1)):
+        text = "%s v%d < 1 : %s" % (("prod", "sum")[k % 2], k, text)
+    return text
+
+
+def test_binders_nested_to_the_bound_compile(default_recursion_limit):
+    # Past 20 nested loops CPython refuses to compile one function, so
+    # the deepest binders run in generated functions of their own.
+    e = _at_the_bound(_binders(MAX_DEPTH - 2), _binders(MAX_DEPTH - 1))
+    for x, value in ((1, 1), (2, 2), (5, 7)):
+        assert _agrees_with_reference(e, InfSeq.constant(x)) == value
+
+
+# An if chain in each branch, the other branch a binder that needs
+# statements: ``k`` ifs reach ``k + 3`` levels, the binder's ``g(i)``.
+_IF_CHAINS = {
+    "then": lambda k: ("if g(0) < 1 then " * k + "7"
+                       + " else sum i < 2 : g(i)" * k),
+    "else": lambda k: "if g(0) < 1 then sum i < 2 : g(i) else " * k + "7",
+}
+
+
+@pytest.mark.parametrize("branch", sorted(_IF_CHAINS))
+def test_if_chains_nested_to_the_bound_compile(default_recursion_limit,
+                                               branch):
+    # Past 100 levels of indentation CPython refuses to compile, and each
+    # if here is a statement that indents its branches once; the deepest
+    # ones move into functions of their own.
+    chain = _IF_CHAINS[branch]
+    e = _at_the_bound(chain(MAX_DEPTH - 3), chain(MAX_DEPTH - 2))
+    assert _source(e)[0].count("def ") > 1
+    for alpha in (InfSeq.constant(0), InfSeq.constant(1),
+                  InfSeq(lambda i: i % 2)):
+        _agrees_with_reference(e, alpha)
+
+
+def test_numeral_too_long_to_print_compiles():
+    # Longer than ``str`` converts, so only a directly built term holds
+    # it: it is bound as a constant, never printed into the source.
+    big = 10 ** 5000
+    assert as_functional(Nat(big))(InfSeq.constant(1)) == big
+    e = BinOp("+", Nat(big), Gamma(Nat(0)))
+    assert as_functional(e)(InfSeq.constant(1)) == big + 1
+    assert len(_source(e)[0]) < 100
+
+
+# Binders named like Python keywords and builtins.
+_PYTHON_WORDS = parse(
+    "sum for < 3 : sum range < for + 1 : prod lambda < 2 : sum is < 2 : "
+    "least return <= 3 st g(return) = lambda + range + is "
+    "else (greatest in <= for st in != g(is) else for)")
+
+
+def test_binders_may_be_named_like_python_words():
+    for alpha in (InfSeq.constant(1), InfSeq(lambda i: i % 3)):
+        _agrees_with_reference(_PYTHON_WORDS, alpha)
+
+
+_EMITTED_KEYWORDS = {"def", "return", "for", "in", "if", "else", "break",
+                     "and", "or", "not"}
+
+
+def test_generated_source_names_nothing_from_the_term():
+    rng = random.Random(34)
+    terms = [gen.gen_hexpr(rng, depth=4) for _ in range(100)]
+    terms += [_PYTHON_WORDS, parse(_binders(30)),
+              BinOp("+", Nat(2 ** 70), Nat(1))]
+    for e in terms:
+        for tok in tokenize.generate_tokens(io.StringIO(
+                _source(e)[0]).readline):
+            if tok.type == tokenize.NAME:
+                assert (re.fullmatch(r"_[gr]|_[fvtk][0-9]+", tok.string)
+                        or tok.string in _EMITTED_KEYWORDS), tok.string
