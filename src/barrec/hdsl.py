@@ -363,10 +363,12 @@ _FOLD = {"prod": ("1", "*"), "sum": ("0", "+")}
 # Bounds that keep generated source within what CPython compiles: its
 # tokenizer allows 200 nested parentheses and 100 levels of indentation,
 # and its compiler 20 nested loops in one function.  Each operator, call
-# and connective nests its operands one level, and an expression nested
-# deeper than ``_MAX_NESTING`` is bound to a temporary, so a chain of any
-# length compiles in chunks.  A block or binder nested deeper than its
-# bound moves into a function of its own.
+# and connective nests its operands one level, in at most two pairs of
+# parentheses (subtraction's), and an expression nested deeper than
+# ``_MAX_NESTING`` levels is bound to a temporary: no line opens more
+# than about 100 parentheses, and a chain of any length compiles in
+# chunks.  A block or binder nested deeper than its bound moves into a
+# function of its own.
 _MAX_NESTING = 50
 _MAX_INDENT = 48
 _MAX_LOOPS = 16
