@@ -348,12 +348,13 @@ _ATOM = 8
 # Each arithmetic operator as a template over the source of its operands,
 # the precedence of the result and the least precedence each operand
 # takes without parentheses.  ``^`` associates to the left as ``**`` does
-# not.  Subtraction is truncated through a temporary, ``t``, holding the
-# difference, so each operand is evaluated once.
-_ARITH = {"+": ("%(a)s + %(b)s", 5, 5, 6),
-          "-": ("(0 if (%(t)s := %(a)s - %(b)s) < 0 else %(t)s)", _ATOM, 5, 6),
-          "*": ("%(a)s * %(b)s", 6, 6, 7),
-          "^": ("%(a)s ** %(b)s", 7, _ATOM, 7)}
+# not.  Subtraction is truncated through ``_d``, which holds the
+# difference, so each operand is evaluated once.  One name serves every
+# subtraction: nothing is evaluated between its assignment and its read.
+_ARITH = {"+": ("%s + %s", 5, 5, 6),
+          "-": ("(0 if (_d := %s - %s) < 0 else _d)", _ATOM, 5, 6),
+          "*": ("%s * %s", 6, 6, 7),
+          "^": ("%s ** %s", 7, _ATOM, 7)}
 _CMP = {"<": "<", "<=": "<=", "=": "==", "!=": "!="}
 ARITH_OPS = tuple(_ARITH)
 CMP_OPS = tuple(_CMP)
@@ -395,10 +396,10 @@ class _Emitter:
     source, its precedence and how deep it nests; statements it needs
     first go to ``lines``, the body of the function being emitted.  Every
     name in the source is generated: ``_g`` for the argument sequence,
-    ``_r`` for ``range`` and ``_`` plus a letter and a counter for
-    functions (``f``), variables (``v``), temporaries (``t``) and numerals
-    too large to print (``k``).  So no text of the term reaches the source
-    except numerals."""
+    ``_r`` for ``range``, ``_d`` for a difference (see ``_ARITH``) and
+    ``_`` plus a letter and a counter for functions (``f``), variables
+    (``v``), temporaries (``t``) and numerals too large to print (``k``).
+    So no text of the term reaches the source except numerals."""
 
     def __init__(self):
         self.defs = []
@@ -499,10 +500,8 @@ class _Emitter:
         for link in links:
             template, prec, left, right = _ARITH[link.op]
             acc, b = self.after(acc, link.right, scope)
-            acc = self.nest(template % {
-                "a": _wrap(acc, left), "b": _wrap(b, right),
-                "t": self.fresh("t") if link.op == "-" else ""},
-                prec, acc, b)
+            acc = self.nest(template % (_wrap(acc, left), _wrap(b, right)),
+                            prec, acc, b)
         return acc
 
     def fold(self, e: Fold, scope: dict) -> tuple:

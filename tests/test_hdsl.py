@@ -495,5 +495,5 @@ def test_generated_source_names_nothing_from_the_term():
         for tok in tokenize.generate_tokens(io.StringIO(
                 _source(e)[0]).readline):
             if tok.type == tokenize.NAME:
-                assert (re.fullmatch(r"_[gr]|_[fvtk][0-9]+", tok.string)
+                assert (re.fullmatch(r"_[dgr]|_[fvtk][0-9]+", tok.string)
                         or tok.string in _EMITTED_KEYWORDS), tok.string
