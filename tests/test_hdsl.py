@@ -460,7 +460,7 @@ def test_if_chains_nested_to_the_bound_compile(default_recursion_limit,
         _agrees_with_reference(e, alpha)
 
 
-def test_numeral_too_long_to_print_compiles():
+def test_numeral_too_long_to_print_compiles(default_recursion_limit):
     # Longer than ``str`` converts, so only a directly built term holds
     # it: it is bound as a constant, never printed into the source.
     big = 10 ** 5000
@@ -477,7 +477,7 @@ _PYTHON_WORDS = parse(
     "else (greatest in <= for st in != g(is) else for)")
 
 
-def test_binders_may_be_named_like_python_words():
+def test_binders_may_be_named_like_python_words(default_recursion_limit):
     for alpha in (InfSeq.constant(1), InfSeq(lambda i: i % 3)):
         _agrees_with_reference(_PYTHON_WORDS, alpha)
 
@@ -486,7 +486,8 @@ _EMITTED_KEYWORDS = {"def", "return", "for", "in", "if", "else", "break",
                      "and", "or", "not"}
 
 
-def test_generated_source_names_nothing_from_the_term():
+def test_generated_source_names_nothing_from_the_term(
+        default_recursion_limit):
     rng = random.Random(34)
     terms = [gen.gen_hexpr(rng, depth=4) for _ in range(100)]
     terms += [_PYTHON_WORDS, parse(_binders(30)),
