@@ -31,11 +31,12 @@ variable, each ``g(e)`` a call of ``gamma`` and each ``if``, ``and`` and
 ``or`` Python's own lazy form, so evaluating the term walks no syntax
 tree and runs in one frame.  What still costs frames is a read of
 ``gamma``, which runs the sequence's own function, and a subterm nested
-deeper than one generated function holds (``_MAX_LOOPS`` binders or
-``_MAX_INDENT`` blocks), which becomes a function of its own and costs a
-frame per evaluation.  Compiling is the price: 0.1-0.3 ms per small
-term on CPython 3.11, several times what building a closure per syntax
-node costs, which a solve's thousands of evaluations repay.
+deeper than one generated function holds (``_MAX_LOOPS`` binders, or a
+statement inside more than ``_MAX_INDENT`` blocks), which becomes a
+function of its own and costs a frame per evaluation.  Compiling is the
+price: 0.1-0.3 ms per small term on CPython 3.11, several times what
+building a closure per syntax node costs, which a solve's thousands of
+evaluations repay.
 """
 
 from __future__ import annotations
@@ -368,8 +369,10 @@ _FOLD = {"prod": ("1", "*"), "sum": ("0", "+")}
 # parentheses (subtraction's), and an expression nested deeper than
 # ``_MAX_NESTING`` levels is bound to a temporary: no line opens more
 # than about 100 parentheses, and a chain of any length compiles in
-# chunks.  A block or binder nested deeper than its bound moves into a
-# function of its own.
+# chunks.  A statement nests in at most ``_MAX_INDENT`` blocks: a block
+# met ``_MAX_INDENT`` levels deep is emitted in place unless one of its
+# statements would nest deeper, and then moves into a function of its
+# own, as a binder nested deeper than ``_MAX_LOOPS`` does.
 _MAX_NESTING = 50
 _MAX_INDENT = 48
 _MAX_LOOPS = 16
@@ -389,6 +392,10 @@ def _wrap(x: tuple, prec: int) -> str:
     """The source of expression ``x`` as an operand that needs precedence
     ``prec``."""
     return x[0] if x[1] >= prec else "(%s)" % x[0]
+
+
+class _TooDeep(Exception):
+    """A statement would nest in more than ``_MAX_INDENT`` blocks."""
 
 
 class _Emitter:
@@ -413,8 +420,14 @@ class _Emitter:
         self.count += 1
         return "_%s%d" % (kind, self.count)
 
-    def emit(self, line: str) -> None:
-        self.lines.append("    " * self.indent + line)
+    def emit(self, line: str, below: int = 0) -> None:
+        """Emit ``line``, ``below`` levels deeper than the statements
+        being emitted.  A function body is indented one level, so a line
+        indented more than ``_MAX_INDENT + 1`` nests in too many blocks."""
+        indent = self.indent + below
+        if indent > _MAX_INDENT + 1:
+            raise _TooDeep
+        self.lines.append("    " * indent + line)
 
     def function(self, e, scope: dict) -> str:
         """Define a function of ``_g`` and the variables of ``scope`` that
@@ -472,11 +485,26 @@ class _Emitter:
         kind = type(e)
         if kind not in _EMIT:
             raise TypeError("not a term or condition node: %r" % (e,))
-        if (self.indent >= _MAX_INDENT and kind in _BLOCKS
-                or self.loops >= _MAX_LOOPS and kind in (Fold, Search)):
-            return "%s(%s)" % (self.function(e, scope),
-                               ", ".join(("_g", *scope.values()))), _ATOM, 1
+        if self.loops >= _MAX_LOOPS and kind in (Fold, Search):
+            return self.call(e, scope)
+        if self.indent == _MAX_INDENT and kind in _BLOCKS:
+            # A statement that would nest too deep lies inside a block
+            # met at this level: emit the block in place, and as a call
+            # if one of its statements does.
+            mark = self.lines, len(self.lines), self.loops, len(self.defs)
+            try:
+                return _EMIT[kind](self, e, scope)
+            except _TooDeep:
+                self.lines, end, self.loops, defs = mark
+                del self.lines[end:], self.defs[defs:]
+                self.indent = _MAX_INDENT
+            return self.call(e, scope)
         return _EMIT[kind](self, e, scope)
+
+    def call(self, e, scope: dict) -> tuple:
+        """A call of a function of its own that returns ``e``."""
+        return "%s(%s)" % (self.function(e, scope),
+                           ", ".join(("_g", *scope.values()))), _ATOM, 1
 
     def nat(self, e: Nat, scope: dict) -> tuple:
         if type(e.value) is int and 0 <= e.value < 1 << 64:
@@ -529,14 +557,14 @@ class _Emitter:
         self.loops += 1
         cond = self.expr(e.cond, {**scope, e.var: var})
         self.emit("if %s:" % cond[0])
-        self.emit("    %s = %s" % (found, var))
-        self.emit("    break")
+        self.emit("%s = %s" % (found, var), 1)
+        self.emit("break", 1)
         self.indent -= 1
         self.loops -= 1
         self.emit("else:")
         lines, orelse = self.branch(e.orelse, scope)
         self.lines += lines
-        self.emit("    %s = %s" % (found, orelse[0]))
+        self.emit("%s = %s" % (found, orelse[0]), 1)
         return found, _ATOM, 0
 
     def if_(self, e: If, scope: dict) -> tuple:
@@ -550,10 +578,10 @@ class _Emitter:
         t = self.fresh("t")
         self.emit("if %s:" % cond[0])
         self.lines += then_lines
-        self.emit("    %s = %s" % (t, then[0]))
+        self.emit("%s = %s" % (t, then[0]), 1)
         self.emit("else:")
         self.lines += else_lines
-        self.emit("    %s = %s" % (t, orelse[0]))
+        self.emit("%s = %s" % (t, orelse[0]), 1)
         return t, _ATOM, 0
 
     def cmp(self, e: Cmp, scope: dict) -> tuple:
@@ -587,7 +615,7 @@ class _Emitter:
                 acc = held, _ATOM, 0
             self.emit(("if %s:" if link.op == "and" else "if not %s:") % held)
             self.lines += lines
-            self.emit("    %s = %s" % (held, right[0]))
+            self.emit("%s = %s" % (held, right[0]), 1)
         return acc
 
 

@@ -23,8 +23,11 @@ extends the same prefix by a different value copies that prefix once.
 Each copy records the list it forked from and how many slots it shares
 with it, so ``overlay`` tells that its argument extends the state by
 following those records, in steps that count forks, not slots; only
-views with no such path have their slots compared.  A view caches its
-hash.
+views with no such path have their slots compared.  A view's hash is a
+fold over its slots, ``h(s * x) = hash((h(s), x))``, so a view made by
+``append`` from a view whose hash is known derives its own from it by
+hashing one pair, and a spine of states is hashed in time linear in its
+length, each slot once.
 
 A ``PartialFn`` keeps one sorted tuple of ``(index, value)`` entries and
 finds an index by bisection, so indices must be totally ordered.  Its
@@ -56,6 +59,8 @@ from typing import Any, Callable, Iterable, Iterator
 
 _new = object.__new__
 _index = operator.itemgetter(0)
+# The hash of the empty sequence, where a sequence's hash fold starts.
+_EMPTY_HASH = hash(())
 
 
 class FiniteSeq:
@@ -74,7 +79,13 @@ class FiniteSeq:
     slots of ``_buf`` are the first ``k`` slots of the list ``old``, object
     for object, and ``old_link`` is ``old``'s own record.  A view made by
     ``append`` onto its buffer or by ``take`` keeps its parent's record.
-    ``_hash`` caches the hash once it is asked for.
+
+    ``_hash`` is the hash, or ``None`` until it is known.  It folds the
+    slots from ``_EMPTY_HASH`` by ``h(s * x) = hash((h(s), x))``, so it is
+    not the hash of ``items``.  ``__hash__`` runs the fold over a view
+    that has none yet; ``append`` on a view whose hash is known stores its
+    child's, unless the new slot is unhashable.  ``take``, ``overlay``'s
+    merged copy and a sequence built from items start without one.
     """
 
     __slots__ = ("_buf", "_n", "_link", "_hash")
@@ -83,6 +94,7 @@ class FiniteSeq:
         self._buf = list(items)
         self._n = len(self._buf)
         self._link = None
+        self._hash = None
 
     @property
     def items(self) -> tuple:
@@ -113,20 +125,29 @@ class FiniteSeq:
                                   or self._buf[:n] == other._buf[:n])
 
     def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            h = self._hash = hash(self.items)
-            return h
+        h = self._hash
+        if h is None:
+            h = _EMPTY_HASH
+            for x in islice(self._buf, self._n):
+                h = hash((h, x))
+            self._hash = h
+        return h
 
     def __repr__(self) -> str:
         return "FiniteSeq(%r)" % (self._buf[:self._n],)
 
     def append(self, x: Any) -> "FiniteSeq":
-        """The one-element extension ``s * x``."""
+        """The one-element extension ``s * x``, whose hash is derived from
+        ``s``'s when that is known and ``x`` is hashable."""
         buf, n, link = self._buf, self._n, self._link
+        h = self._hash
+        if h is not None:
+            try:
+                h = hash((h, x))
+            except TypeError:
+                h = None
         if not n:
-            return _seq_view([x], 1, None)
+            return _seq_view([x], 1, None, h)
         if len(buf) == n:
             buf.append(x)
         # Slot ``n`` is final once written, so reading it back also sees a
@@ -135,7 +156,7 @@ class FiniteSeq:
             link = (buf, n, link)
             buf = buf[:n]
             buf.append(x)
-        return _seq_view(buf, n + 1, link)
+        return _seq_view(buf, n + 1, link, h)
 
     def take(self, n: int) -> "FiniteSeq":
         """Initial segment of length ``n`` (all of ``s`` if ``n >= |s|``; a
@@ -166,13 +187,16 @@ class FiniteSeq:
         return _seq_view(merged, other._n, (buf, n, self._link))
 
 
-def _seq_view(buf: list, n: int, link: "tuple | None") -> FiniteSeq:
+def _seq_view(buf: list, n: int, link: "tuple | None",
+              h: "int | None" = None) -> FiniteSeq:
     """The view of the first ``n`` slots of ``buf``, sharing it, whose
-    buffer forked as ``link`` records."""
+    buffer forked as ``link`` records and whose hash is ``h`` (``None``
+    when not known)."""
     s = _new(FiniteSeq)
     s._buf = buf
     s._n = n
     s._link = link
+    s._hash = h
     return s
 
 

@@ -460,6 +460,16 @@ def test_if_chains_nested_to_the_bound_compile(default_recursion_limit,
         _agrees_with_reference(e, alpha)
 
 
+def test_ifs_that_emit_no_statement_stay_in_one_function(
+        default_recursion_limit):
+    # The ifs stay conditional expressions until the nesting bound binds
+    # one to a temporary; the 48 ifs around it become statements, so the
+    # deepest line nests in 48 blocks and no block moves out.
+    e = parse("if 0 < 1 then " * 98 + "7" + " else 0" * 98)
+    assert _source(e)[0].count("def ") == 1
+    assert _agrees_with_reference(e, InfSeq.constant(0)) == 7
+
+
 def test_numeral_too_long_to_print_compiles(default_recursion_limit):
     # Longer than ``str`` converts, so only a directly built term holds
     # it: it is bound as a constant, never printed into the source.

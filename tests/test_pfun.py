@@ -325,7 +325,7 @@ def test_finite_seq_views_match_tuple_model(start, ops):
         fresh = FiniteSeq(model)
         assert len(s) == len(model)
         assert tuple(s) == model and s.items == model
-        assert s == fresh and hash(s) == hash(fresh) == hash(model)
+        assert s == fresh and hash(s) == hash(fresh)
         assert repr(s) == repr(fresh) == "FiniteSeq(%r)" % (list(model),)
         for i in range(-len(model) - 1, len(model) + 1):
             if -len(model) <= i < len(model):
@@ -437,11 +437,34 @@ def test_finite_seq_hashes_its_slots_once():
             return 1
 
     s = FiniteSeq((Slot(), Slot())).append(Slot())
-    assert hash(s) == hash(s) == hash(s.items)
-    assert len(hashed) == 3 + 3
+    assert hash(s) == hash(s)
+    assert len(hashed) == 3
+    # An append onto a hashed view hashes its new slot alone, whether it
+    # pushes onto the buffer or forks a sibling off it.
+    pushed = s.append(Slot())
+    assert len(hashed) == 4
+    forked = s.append(Slot())
+    assert forked._buf is not pushed._buf and len(hashed) == 5
+    deeper = forked.append(Slot())
+    assert len(hashed) == 6
+    for view in (pushed, forked, deeper):
+        assert hash(view) == hash(FiniteSeq(view.items))
+    # A prefix cannot be derived from its parent's hash, so it folds its
+    # own slots once when asked.
     t = s.take(2)
-    assert hash(t) == hash(t)
-    assert len(hashed) == 6 + 2
+    hashed.clear()
+    assert hash(t) == hash(t) == hash(FiniteSeq(t.items))
+    assert len(hashed) == 2 + 2
+
+
+def test_finite_seq_append_of_an_unhashable_value_does_not_raise():
+    s = FiniteSeq((1, 2))
+    hash(s)
+    t = s.append([3])
+    assert t.items == (1, 2, [3]) and t.append(4).items == (1, 2, [3], 4)
+    with pytest.raises(TypeError):
+        hash(t)
+    assert hash(t.take(2)) == hash(s)
 
 
 # Index domains of the symmetric recursor: naturals, booleans, pairs.

@@ -235,6 +235,29 @@ def test_memoized_mode_agrees_with_plain():
     assert memo.calls <= plain.calls
 
 
+def test_memo_hits_a_visited_state_rebuilt_in_another_buffer():
+    # The memo keys a state by its hash and slots, not by its buffer: a
+    # state the recursion grew slot by slot and the same slots read into
+    # a new list are one key.
+    visited = []
+
+    def step(s, n, p):
+        visited.append(s)
+        return p(0) + p(n)
+
+    params = RecursorParams(step=step, body=lambda t: sum(t),
+                            control=lambda a: a(0) + 3, default=0)
+    ctx = EvalContext(mode="memoized")
+    br(params, EMPTY_SEQ, ctx)
+    calls = ctx.calls
+    assert len(visited) > 3
+    for s in list(visited):
+        again = FiniteSeq(s.items)
+        assert again._buf is not s._buf
+        assert br(params, again, ctx) == br(params, s, EvalContext())
+        assert ctx.calls == calls
+
+
 def test_body_follows_the_control_that_stopped_on_its_state():
     # The choice solvers pair a stopped carrier with the extension its
     # control ran on, so each body call must come right after a control
