@@ -26,17 +26,21 @@ finitely many points per evaluation.  ``parse`` refuses terms nested more
 than ``MAX_DEPTH`` levels deep.
 
 ``as_functional`` emits Python source for the whole term and passes it
-to ``compile()`` once.  Each binder is a ``for`` loop over a local
-variable, each ``g(e)`` a call of ``gamma`` and each ``if``, ``and`` and
-``or`` Python's own lazy form, so evaluating the term walks no syntax
-tree and runs in one frame.  What still costs frames is a read of
-``gamma``, which runs the sequence's own function, and a subterm nested
-deeper than one generated function holds (``_MAX_LOOPS`` binders, or a
-statement inside more than ``_MAX_INDENT`` blocks), which becomes a
-function of its own and costs a frame per evaluation.  Compiling is the
-price: 0.1-0.3 ms per small term on CPython 3.11, several times what
-building a closure per syntax node costs, which a solve's thousands of
-evaluations repay.
+to ``compile()`` once.  Each ``g(e)`` is a call of ``gamma`` and each
+``if``, ``and`` and ``or`` Python's own lazy form.  Each binder is the
+body of a generated function of its own, a ``for`` loop over a local
+variable that ``least`` and ``greatest`` return from: the term's own
+function when the binder is the whole term, and a call anywhere else.
+So evaluating a term walks no syntax tree, and a term with no binder but
+at its root runs in one frame, as the ``prod`` and ``leastinc``
+renderings of the case study do.  What costs frames is a read of
+``gamma``, which runs the sequence's own function, a binder anywhere but
+at the root, which costs a call each time it runs, and an operand nested
+too deep for one line (see ``_MAX_NESTING``) that runs after another
+operand or only on some paths, which becomes a call as well.  Compiling
+is the price: 0.2-0.3 ms per small term on CPython 3.11, several times
+what building a closure per syntax node costs, which a solve's thousands
+of evaluations repay.
 """
 
 from __future__ import annotations
@@ -175,9 +179,9 @@ _ATOM_HEADS = ("NAT", "IDENT", "g", "(") + _GREEDY_HEADS
 # construct is a parenthesised ``if`` in the condition of the next, eleven
 # parser frames for its two levels, so a term at the bound parses within
 # the default recursion limit of 1,000.  Emitting a term's source takes
-# at most three frames per level and printing it fewer than parsing; the
-# compiled term runs in one frame, plus one per generated function it
-# calls.
+# at most six frames per level, for a ``g(1 - g(...))`` nest, and printing
+# it fewer than parsing; the compiled term runs in one frame, plus one per
+# generated function it calls.
 MAX_DEPTH = 100
 
 
@@ -347,35 +351,33 @@ def parse(text: str) -> Expr:
 # expression).
 _ATOM = 8
 # Each arithmetic operator as a template over the source of its operands,
-# the precedence of the result and the least precedence each operand
-# takes without parentheses.  ``^`` associates to the left as ``**`` does
-# not.  Subtraction is truncated through ``_d``, which holds the
+# the precedence of the result, the least precedence each operand takes
+# without parentheses, and how many levels each operand nests below the
+# result (see ``_MAX_NESTING``).  ``^`` associates to the left as ``**``
+# does not.  Subtraction is truncated through ``_d``, which holds the
 # difference, so each operand is evaluated once.  One name serves every
 # subtraction: nothing is evaluated between its assignment and its read.
-_ARITH = {"+": ("%s + %s", 5, 5, 6),
-          "-": ("(0 if (_d := %s - %s) < 0 else _d)", _ATOM, 5, 6),
-          "*": ("%s * %s", 6, 6, 7),
-          "^": ("%s ** %s", 7, _ATOM, 7)}
+_ARITH = {"+": ("%s + %s", 5, 5, 6, 1),
+          "-": ("(0 if (_d := %s - %s) < 0 else _d)", _ATOM, 5, 6, 3),
+          "*": ("%s * %s", 6, 6, 7, 1),
+          "^": ("%s ** %s", 7, _ATOM, 7, 1)}
 _CMP = {"<": "<", "<=": "<=", "=": "==", "!=": "!="}
 ARITH_OPS = tuple(_ARITH)
 CMP_OPS = tuple(_CMP)
 # The unit and operator of each fold.
 _FOLD = {"prod": ("1", "*"), "sum": ("0", "+")}
 
-# Bounds that keep generated source within what CPython compiles: its
-# tokenizer allows 200 nested parentheses and 100 levels of indentation,
-# and its compiler 20 nested loops in one function.  Each operator, call
-# and connective nests its operands one level, in at most two pairs of
-# parentheses (subtraction's), and an expression nested deeper than
-# ``_MAX_NESTING`` levels is bound to a temporary: no line opens more
-# than about 100 parentheses, and a chain of any length compiles in
-# chunks.  A statement nests in at most ``_MAX_INDENT`` blocks: a block
-# met ``_MAX_INDENT`` levels deep is emitted in place unless one of its
-# statements would nest deeper, and then moves into a function of its
-# own, as a binder nested deeper than ``_MAX_LOOPS`` does.
-_MAX_NESTING = 50
-_MAX_INDENT = 48
-_MAX_LOOPS = 16
+# The deepest an expression nests before it is bound to a temporary.  A
+# level is a pair of parentheses or a node of Python's syntax tree: each
+# call, operator, comparison, connective and ``if`` nests its operands one
+# level below it, in parentheses or not, and a subtraction nests them
+# three, its two pairs of parentheses and one more an operand may need.
+# So no line opens more than ``_MAX_NESTING + 3`` parentheses, well within
+# the 200 CPython's tokenizer allows, no line's syntax tree is deeper than
+# its compiler takes, a chain of any length compiles in chunks, and an
+# ``if`` chain as deep as ``parse`` accepts, one level per ``if``, stays
+# one expression.
+_MAX_NESTING = 120
 
 
 def _spine(e, kind: type) -> tuple:
@@ -394,117 +396,92 @@ def _wrap(x: tuple, prec: int) -> str:
     return x[0] if x[1] >= prec else "(%s)" % x[0]
 
 
-class _TooDeep(Exception):
-    """A statement would nest in more than ``_MAX_INDENT`` blocks."""
-
-
 class _Emitter:
-    """Python source for a term.  Each expression is returned as its
-    source, its precedence and how deep it nests; statements it needs
-    first go to ``lines``, the body of the function being emitted.  Every
-    name in the source is generated: ``_g`` for the argument sequence,
-    ``_r`` for ``range``, ``_d`` for a difference (see ``_ARITH``) and
-    ``_`` plus a letter and a counter for functions (``f``), variables
-    (``v``), temporaries (``t``) and numerals too large to print (``k``).
-    So no text of the term reaches the source except numerals."""
+    """Python source for a term, as functions of ``_g`` and the variables
+    in scope.  Each binder is the body of a function of its own, a ``for``
+    loop that ``least`` and ``greatest`` return from, so a function holds
+    at most one loop.  Each expression is returned as its source, its
+    precedence and how deep it nests; the temporaries it needs go first to
+    ``lines``, the body being emitted.  Only an operand evaluated first
+    may need them: one evaluated after another operand, or only on some
+    paths, becomes a call of a function of its own if it does, so the
+    points of ``gamma`` are read in the term's order and only when the
+    term reads them.  Every name in the source is generated: ``_g`` for
+    the argument sequence, ``_r`` for ``range``, ``_d`` for a difference
+    (see ``_ARITH``) and ``_`` plus a letter and a counter for functions
+    (``f``), variables (``v``), temporaries (``t``) and numerals too large
+    to print (``k``).  So no text of the term reaches the source except
+    numerals."""
 
     def __init__(self):
         self.defs = []
         self.consts = {"_r": range}
         self.count = 0
         self.lines = []
-        self.indent = 0
-        self.loops = 0
 
     def fresh(self, kind: str) -> str:
         self.count += 1
         return "_%s%d" % (kind, self.count)
 
-    def emit(self, line: str, below: int = 0) -> None:
-        """Emit ``line``, ``below`` levels deeper than the statements
-        being emitted.  A function body is indented one level, so a line
-        indented more than ``_MAX_INDENT + 1`` nests in too many blocks."""
-        indent = self.indent + below
-        if indent > _MAX_INDENT + 1:
-            raise _TooDeep
-        self.lines.append("    " * indent + line)
-
-    def function(self, e, scope: dict) -> str:
-        """Define a function of ``_g`` and the variables of ``scope`` that
-        returns the value of ``e``, and return its name."""
-        outer = self.lines, self.indent, self.loops
-        self.lines, self.indent, self.loops = [], 1, 0
-        value = self.expr(e, scope)[0]
+    def define(self, lines: list, scope: dict) -> str:
+        """Define a function of ``_g`` and the variables of ``scope`` with
+        the body ``lines``, and return its name."""
         name = self.fresh("f")
-        self.defs.append("def %s(%s):\n%s    return %s\n" % (
+        self.defs.append("def %s(%s):\n%s" % (
             name, ", ".join(("_g", *scope.values())),
-            "".join(line + "\n" for line in self.lines), value))
-        self.lines, self.indent, self.loops = outer
+            "".join("    %s\n" % line for line in lines)))
         return name
 
-    def bind(self, value: str) -> str:
-        t = self.fresh("t")
-        self.emit("%s = %s" % (t, value))
-        return t
+    def call(self, lines: list, scope: dict) -> tuple:
+        """A call of a function of its own with the body ``lines``."""
+        return "%s(%s)" % (self.define(lines, scope),
+                           ", ".join(("_g", *scope.values()))), _ATOM, 1
 
-    def nest(self, value: str, prec: int, *operands: tuple) -> tuple:
-        """The expression ``value`` over ``operands``, bound to a
-        temporary if it nests too deep."""
-        depth = 1 + max(x[2] for x in operands)
-        if depth > _MAX_NESTING:
-            return self.bind(value), _ATOM, 0
-        return value, prec, depth
+    def body(self, e, scope: dict) -> list:
+        """The body of a function that returns the value of ``e``: a
+        binder's loop, or the statements ``e`` needs and a ``return``."""
+        if isinstance(e, Fold):
+            return self.fold(e, scope)
+        if isinstance(e, Search):
+            return self.search(e, scope)
+        lines, value = self.apart(e, scope)
+        return lines + ["return " + value[0]]
 
-    def after(self, first: tuple, e, scope: dict) -> tuple:
-        """Emit ``e`` to be evaluated after the expression ``first``.  If
-        ``e`` needs statements, ``first`` is bound to a temporary ahead of
-        them, so the points of ``gamma`` are still read in order."""
-        mark = len(self.lines)
-        second = self.expr(e, scope)
-        if len(self.lines) > mark and first[2]:
-            t = self.fresh("t")
-            self.lines.insert(mark, "    " * self.indent
-                              + "%s = %s" % (t, first[0]))
-            first = t, _ATOM, 0
-        return first, second
-
-    def branch(self, e, scope: dict) -> tuple:
-        """``e`` emitted one level deeper, with the statements it needs
-        kept apart, for a branch taken only when a condition decides."""
-        outer = self.lines
-        self.lines = []
-        self.indent += 1
+    def apart(self, e, scope: dict) -> tuple:
+        """The statements ``e`` needs, kept apart, and its expression."""
+        outer, self.lines = self.lines, []
         value = self.expr(e, scope)
         lines, self.lines = self.lines, outer
-        self.indent -= 1
         return lines, value
+
+    def later(self, e, scope: dict) -> tuple:
+        """``e`` evaluated after another operand or only on some paths: a
+        call if it needs statements, which would run too early here."""
+        lines, value = self.apart(e, scope)
+        if lines:
+            return self.call(lines + ["return " + value[0]], scope)
+        return value
+
+    def nest(self, value: str, prec: int, levels: int,
+             *operands: tuple) -> tuple:
+        """The expression ``value``, ``levels`` deeper than the deepest of
+        its ``operands``, bound to a temporary if that is too deep."""
+        depth = levels + max(x[2] for x in operands)
+        if depth > _MAX_NESTING:
+            t = self.fresh("t")
+            self.lines.append("%s = %s" % (t, value))
+            return t, _ATOM, 0
+        return value, prec, depth
 
     def expr(self, e, scope: dict) -> tuple:
         """The expression of term or condition ``e``; ``scope`` maps each
         variable to its generated name."""
         kind = type(e)
+        if kind is Fold or kind is Search:
+            return self.call(self.body(e, scope), scope)
         if kind not in _EMIT:
             raise TypeError("not a term or condition node: %r" % (e,))
-        if self.loops >= _MAX_LOOPS and kind in (Fold, Search):
-            return self.call(e, scope)
-        if self.indent == _MAX_INDENT and kind in _BLOCKS:
-            # A statement that would nest too deep lies inside a block
-            # met at this level: emit the block in place, and as a call
-            # if one of its statements does.
-            mark = self.lines, len(self.lines), self.loops, len(self.defs)
-            try:
-                return _EMIT[kind](self, e, scope)
-            except _TooDeep:
-                self.lines, end, self.loops, defs = mark
-                del self.lines[end:], self.defs[defs:]
-                self.indent = _MAX_INDENT
-            return self.call(e, scope)
         return _EMIT[kind](self, e, scope)
-
-    def call(self, e, scope: dict) -> tuple:
-        """A call of a function of its own that returns ``e``."""
-        return "%s(%s)" % (self.function(e, scope),
-                           ", ".join(("_g", *scope.values()))), _ATOM, 1
 
     def nat(self, e: Nat, scope: dict) -> tuple:
         if type(e.value) is int and 0 <= e.value < 1 << 64:
@@ -520,118 +497,83 @@ class _Emitter:
 
     def gamma(self, e: Gamma, scope: dict) -> tuple:
         arg = self.expr(e.arg, scope)
-        return self.nest("_g(%s)" % arg[0], _ATOM, arg)
+        return self.nest("_g(%s)" % arg[0], _ATOM, 1, arg)
 
     def binop(self, e: BinOp, scope: dict) -> tuple:
         head, links = _spine(e, BinOp)
         acc = self.expr(head, scope)
         for link in links:
-            template, prec, left, right = _ARITH[link.op]
-            acc, b = self.after(acc, link.right, scope)
+            template, prec, left, right, levels = _ARITH[link.op]
+            b = self.later(link.right, scope)
             acc = self.nest(template % (_wrap(acc, left), _wrap(b, right)),
-                            prec, acc, b)
+                            prec, levels, acc, b)
         return acc
 
-    def fold(self, e: Fold, scope: dict) -> tuple:
+    def fold(self, e: Fold, scope: dict) -> list:
         unit, op = _FOLD[e.op]
-        bound = self.expr(e.bound, scope)
+        lines, bound = self.apart(e.bound, scope)
         acc, var = self.fresh("t"), self.fresh("v")
-        self.emit("%s = %s" % (acc, unit))
-        self.emit("for %s in _r(%s):" % (var, bound[0]))
-        self.indent += 1
-        self.loops += 1
-        body = self.expr(e.body, {**scope, e.var: var})
-        self.emit("%s = %s %s %s" % (acc, acc, op, _wrap(body, _ARITH[op][3])))
-        self.indent -= 1
-        self.loops -= 1
-        return acc, _ATOM, 0
+        body, value = self.apart(e.body, {**scope, e.var: var})
+        body.append("%s = %s %s %s" % (acc, acc, op,
+                                       _wrap(value, _ARITH[op][3])))
+        return lines + ["%s = %s" % (acc, unit),
+                        "for %s in _r(%s):" % (var, bound[0]),
+                        *("    " + line for line in body), "return " + acc]
 
-    def search(self, e: Search, scope: dict) -> tuple:
-        bound = self.expr(e.bound, scope)
-        found, var = self.fresh("t"), self.fresh("v")
+    def search(self, e: Search, scope: dict) -> list:
+        lines, bound = self.apart(e.bound, scope)
+        var = self.fresh("v")
+        body, cond = self.apart(e.cond, {**scope, e.var: var})
+        body += ["if %s:" % cond[0], "    return " + var]
         if e.op == "least":
-            self.emit("for %s in _r(%s + 1):" % (var, _wrap(bound, 5)))
+            lines.append("for %s in _r(%s + 1):" % (var, _wrap(bound, 5)))
         else:
-            self.emit("for %s in _r(%s, -1, -1):" % (var, bound[0]))
-        self.indent += 1
-        self.loops += 1
-        cond = self.expr(e.cond, {**scope, e.var: var})
-        self.emit("if %s:" % cond[0])
-        self.emit("%s = %s" % (found, var), 1)
-        self.emit("break", 1)
-        self.indent -= 1
-        self.loops -= 1
-        self.emit("else:")
-        lines, orelse = self.branch(e.orelse, scope)
-        self.lines += lines
-        self.emit("%s = %s" % (found, orelse[0]), 1)
-        return found, _ATOM, 0
+            lines.append("for %s in _r(%s, -1, -1):" % (var, bound[0]))
+        orelse_lines, orelse = self.apart(e.orelse, scope)
+        return (lines + ["    " + line for line in body] + orelse_lines
+                + ["return " + orelse[0]])
 
     def if_(self, e: If, scope: dict) -> tuple:
         cond = self.expr(e.cond, scope)
-        then_lines, then = self.branch(e.then, scope)
-        else_lines, orelse = self.branch(e.orelse, scope)
-        if not then_lines and not else_lines:
-            return self.nest("%s if %s else %s" % (
-                _wrap(then, 1), _wrap(cond, 1), orelse[0]),
-                0, then, cond, orelse)
-        t = self.fresh("t")
-        self.emit("if %s:" % cond[0])
-        self.lines += then_lines
-        self.emit("%s = %s" % (t, then[0]), 1)
-        self.emit("else:")
-        self.lines += else_lines
-        self.emit("%s = %s" % (t, orelse[0]), 1)
-        return t, _ATOM, 0
+        then, orelse = self.later(e.then, scope), self.later(e.orelse, scope)
+        return self.nest("%s if %s else %s" % (
+            _wrap(then, 1), _wrap(cond, 1), orelse[0]), 0, 1,
+            then, cond, orelse)
 
     def cmp(self, e: Cmp, scope: dict) -> tuple:
-        op = _CMP[e.op]
-        left, right = self.after(self.expr(e.left, scope), e.right, scope)
-        return self.nest("%s %s %s" % (_wrap(left, 5), op, _wrap(right, 5)),
-                         4, left, right)
+        left, right = self.expr(e.left, scope), self.later(e.right, scope)
+        return self.nest("%s %s %s" % (_wrap(left, 5), _CMP[e.op],
+                                       _wrap(right, 5)), 4, 1, left, right)
 
     def not_(self, e: Not, scope: dict) -> tuple:
         cond = self.expr(e.cond, scope)
-        return self.nest("not %s" % _wrap(cond, 3), 3, cond)
+        return self.nest("not %s" % _wrap(cond, 3), 3, 1, cond)
 
     def conn(self, e: Conn, scope: dict) -> tuple:
         """A left-nested chain: each link reads its right side only when
         the value so far does not decide it, as Python's ``and`` and
-        ``or`` do.  A right side that needs statements runs under an
-        ``if`` on the value so far, held in a temporary of its own."""
+        ``or`` do."""
         head, links = _spine(e, Conn)
         acc = self.expr(head, scope)
-        held = None
         for link in links:
             prec = 2 if link.op == "and" else 1
-            lines, right = self.branch(link.right, scope)
-            if not lines:
-                acc = self.nest("%s %s %s" % (
-                    _wrap(acc, prec), link.op, _wrap(right, prec + 1)),
-                    prec, acc, right)
-                continue
-            if acc[0] != held:
-                held = self.bind(acc[0])
-                acc = held, _ATOM, 0
-            self.emit(("if %s:" if link.op == "and" else "if not %s:") % held)
-            self.lines += lines
-            self.emit("%s = %s" % (held, right[0]), 1)
+            right = self.later(link.right, scope)
+            acc = self.nest("%s %s %s" % (
+                _wrap(acc, prec), link.op, _wrap(right, prec + 1)),
+                prec, 1, acc, right)
         return acc
 
 
 _EMIT = {Nat: _Emitter.nat, Var: _Emitter.var, Gamma: _Emitter.gamma,
-         BinOp: _Emitter.binop, Fold: _Emitter.fold,
-         Search: _Emitter.search, If: _Emitter.if_, Cmp: _Emitter.cmp,
+         BinOp: _Emitter.binop, If: _Emitter.if_, Cmp: _Emitter.cmp,
          Not: _Emitter.not_, Conn: _Emitter.conn}
-# The nodes that may emit blocks.
-_BLOCKS = (Fold, Search, If, Conn)
 
 
 def _source(e: Expr) -> tuple:
     """The generated source of ``e``, the constants it reads and the name
     of the function it defines for ``e``."""
     emitter = _Emitter()
-    name = emitter.function(e, {})
+    name = emitter.define(emitter.body(e, {}), {})
     return "".join(emitter.defs), emitter.consts, name
 
 
@@ -696,7 +638,7 @@ def cond_to_text(c: Cond) -> str:
         return "%s %s %s" % (_operand(c.left, 0), c.op, _operand(c.right, 0))
     if isinstance(c, Conn):
         # Printed along the left spine without recursing on it, as
-        # ``_compile`` folds it, so a chain's length costs no stack.
+        # ``_Emitter.conn`` emits it, so a chain's length costs no stack.
         head, links = _spine(c, Conn)
         if any(isinstance(link.right, (Conn, Not)) for link in links):
             raise ValueError("condition is not grammar-derivable: %r" % (c,))

@@ -1,5 +1,6 @@
 """Parser, compiler, and printer of the control DSL."""
 
+import ast
 import io
 import random
 import re
@@ -15,8 +16,8 @@ from hypothesis import strategies as st
 from barrec import gen
 from barrec.hdsl import (MAX_DEPTH, BinOp, Cmp, Cond, Conn, Expr, Fold, Gamma,
                          If, Nat, Not, ParseError, Search, UnboundVariable,
-                         Var, _source, as_functional, cond_to_text, parse,
-                         to_text)
+                         Var, _MAX_NESTING, _source, as_functional,
+                         cond_to_text, parse, to_text)
 from barrec.noinjection import builtin_dsl, builtin_h
 from barrec.pfun import InfSeq, PartialFn, extend_hat
 
@@ -468,6 +469,62 @@ def test_ifs_that_emit_no_statement_stay_in_one_function(
     e = parse("if 0 < 1 then " * 98 + "7" + " else 0" * 98)
     assert _source(e)[0].count("def ") == 1
     assert _agrees_with_reference(e, InfSeq.constant(0)) == 7
+
+
+# The forms that open the most parentheses per level, each with the
+# deepest nesting ``parse`` accepts and the one level past it.
+_PARENTHESISED = {
+    "sub-sub": (MAX_DEPTH - 2, lambda n: "1 - (" * n + "g(0)" + ")" * n),
+    "sub-add": (MAX_DEPTH // 2 - 1,
+                lambda n: "1 - (2 + (" * n + "g(0)" + "))" * n),
+    "g-sub": (MAX_DEPTH - 2, lambda n: "g(1 - " * n + "g(0)" + ")" * n),
+    "g-g": (MAX_DEPTH - 1, lambda n: "g(" * n + "0" + ")" * n),
+}
+
+
+@pytest.mark.parametrize("form", sorted(_PARENTHESISED))
+def test_parenthesised_forms_nested_to_the_bound_compile(
+        default_recursion_limit, form):
+    # Past 200 nested parentheses CPython's tokenizer refuses a line, and
+    # a subtraction opens two or three per level.
+    n, nest = _PARENTHESISED[form]
+    e = _at_the_bound(nest(n), nest(n + 1))
+    for alpha in (InfSeq.constant(0), InfSeq.constant(3),
+                  InfSeq(lambda i: i % 3), InfSeq(lambda i: 2 * i + 1)):
+        _agrees_with_reference(e, alpha)
+
+
+# A chain of reads at distinct points of ``g``, nested past the bound on
+# an expression's depth, so that it needs temporaries.
+_LONG_CHAIN = "(%s)" % " + ".join("g(%d)" % i
+                                  for i in range(1, 2 * _MAX_NESTING))
+
+
+@pytest.mark.parametrize("text", [
+    "g(0) + %s", "if g(0) < %s then 1 else 0", "if g(0) < 1 then %s else 0",
+    "if g(0) < 1 then 0 else %s", "if g(0) < 1 and %s < 5 then 1 else 0",
+    "if g(0) < 1 or %s < 5 then 1 else 0",
+], ids=["plus", "less", "then", "else", "and", "or"])
+def test_a_later_operand_that_needs_temporaries_keeps_its_reads(text):
+    # Run ahead of the statement, its temporaries would read ``g`` before
+    # the operand to its left does, or on a path that does not read it.
+    e = parse(text % _LONG_CHAIN)
+    for alpha in (InfSeq(lambda i: i % 2), InfSeq(lambda i: (i + 1) % 2)):
+        _agrees_with_reference(e, alpha)
+
+
+def test_each_generated_function_holds_at_most_one_loop(
+        default_recursion_limit):
+    # Each binder is the loop of a function of its own, and ``least`` and
+    # ``greatest`` return from it.
+    rng = random.Random(35)
+    terms = [gen.gen_hexpr(rng, depth=4) for _ in range(300)]
+    terms += [parse(_binders(MAX_DEPTH - 2)), _PYTHON_WORDS]
+    for e in terms:
+        for function in ast.parse(_source(e)[0]).body:
+            nodes = list(ast.walk(function))
+            assert sum(isinstance(node, ast.For) for node in nodes) <= 1
+            assert not any(isinstance(node, ast.Break) for node in nodes)
 
 
 def test_numeral_too_long_to_print_compiles(default_recursion_limit):
