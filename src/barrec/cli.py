@@ -210,9 +210,9 @@ def _format_rows(rows: list, fmt: str) -> str:
 def _parse_range(text: str, family: str) -> range:
     if not text:
         return BENCH_RANGES[family]
-    lo, _, hi = text.partition("..")
+    lo, sep, hi = text.partition("..")
     try:
-        ns = range(int(lo), int(hi or lo) + 1)
+        ns = range(int(lo), int(hi if sep else lo) + 1)
     except ValueError:
         ns = range(0)
     if not ns or ns.start < 0:

@@ -7,14 +7,21 @@ Sequential from symmetric: a finite sequence is embedded as a partial
 function on an initial segment over value/flag pairs, and a stubborn
 control searches for the least unfilled position at or below the original
 control's answer, so the symmetric engine is forced to update positions
-in order.
+in order.  Every state the lifted recursion meets is therefore an initial
+segment ``0..n-1``, and whenever the control names an index outside the
+state that index is ``n``: a state reads back as its values in index
+order, and the step's prefix is that read-back.
 
 Symmetric from sequential: a partial state is staged as a sequence of
-pairs.  A slot holds either the snapshot that was current when its index
-was updated, or a continuation able to restart the recursion with that
-slot filled in later.  A diagonal functional reads the represented
-partial state back out of the staging sequence, and the sequential engine
-runs over the staged representation.  The translation lands on the
+pairs.  A slot holds the snapshot that was current when its index was
+updated and, where that snapshot leaves the slot's own position
+undefined, a continuation able to restart the recursion with the position
+filled in later.  A diagonal functional reads the represented partial
+state back out of the staging sequence, and the sequential engine runs
+over the staged representation.  A slot at a defined position carries no
+continuation: the diagonal only grows along a stage, so that position
+stays defined, and the body calls a slot's continuation only at a
+position the diagonal leaves undefined.  The translation lands on the
 thread-restricted recursor first; relativising the parameters to a start
 state then yields the full symmetric recursor from the empty state.
 """
@@ -26,22 +33,18 @@ from typing import Any, Callable, NamedTuple
 from .context import EvalContext, sibling_cache
 from .pfun import EMPTY, EMPTY_SEQ, FiniteSeq, InfSeq, PartialFn, extend_hat
 from .recursors import RecursorParams, br, sbr
-from .threads import stubborn_control, thread_decomposition
-
-class TaggedValue(NamedTuple):
-    """A value paired with a filled/unfilled flag (1 = filled)."""
-
-    value: Any
-    flag: int
+from .threads import TaggedValue, stubborn_control, thread_decomposition
 
 
 class YPair(NamedTuple):
     """A staging slot: a snapshot of the partial state plus an opaque
-    restart continuation ``(state, value) -> result``.  Continuations are
-    never compared; slot equality is identity on that component."""
+    restart continuation ``(state, value) -> result``, or ``None`` where
+    the snapshot already defines the slot's position, which no recursion
+    restarts.  Continuations are never compared; slot equality is identity
+    on that component."""
 
     snapshot: PartialFn
-    cont: Callable[[PartialFn, Any], Any]
+    cont: Callable[[PartialFn, Any], Any] | None
 
 
 # -- Sequential bar recursion from the symmetric engine. --------------------
@@ -60,31 +63,26 @@ def _embed_seq(s: FiniteSeq) -> PartialFn:
     return PartialFn((i, TaggedValue(x, 1)) for i, x in enumerate(s))
 
 
-def _unembed(u: PartialFn, default: Any) -> FiniteSeq:
-    """Read a sequence back: length is one past the maximal defined index,
-    unfilled slots pad with the zero value.  The empty state reads back as
-    the empty sequence."""
-    if len(u) == 0:
-        return EMPTY_SEQ
-    top = u.max_index()
-    return FiniteSeq(
-        u(i).value if u.defined_at(i) else default for i in range(top + 1))
+def _unembed(u: PartialFn) -> FiniteSeq:
+    """Read a lifted state back as the sequence of its values in index
+    order.  The state is an initial segment, as every state the stubborn
+    control lets the symmetric engine build is."""
+    return FiniteSeq(x.value for _, x in u.entries)
 
 
 def _lift_sequential(params: RecursorParams) -> RecursorParams:
-    tagged_default = TaggedValue(params.default, 0)
-
+    """Parameters for the symmetric engine over value/flag pairs.  The
+    step's index is always one past the state's, so its prefix is the
+    whole state read back."""
     def body(u: PartialFn) -> Any:
-        return params.body(_unembed(u, params.default))
+        return params.body(_unembed(u))
 
     def step(u: PartialFn, n: int, p: Callable[[TaggedValue], Any]) -> Any:
-        ext = extend_hat(u, tagged_default)
-        prefix = FiniteSeq(ext(i).value for i in range(n))
-        return params.step(prefix, n, lambda x: p(TaggedValue(x, 1)))
+        return params.step(_unembed(u), n, lambda x: p(TaggedValue(x, 1)))
 
     return RecursorParams(step=step, body=body,
                           control=stubborn_control(params.control),
-                          default=tagged_default,
+                          default=TaggedValue(params.default, 0),
                           default_result=params.default_result)
 
 
@@ -115,40 +113,39 @@ def diag_infinite(alpha: InfSeq, default: Any) -> InfSeq:
     return InfSeq(at)
 
 
-def _slot(ds: PartialFn, pos: int, k: Callable[[YPair], Any],
-          zero_cont: Callable[[PartialFn, Any], Any]) -> YPair:
+def _slot(ds: PartialFn, pos: int, k: Callable[[YPair], Any]) -> YPair:
     """The staging slot at ``pos`` over the diagonal state ``ds``.  Where
-    ``ds`` defines ``pos`` it holds the zero continuation; otherwise it
-    holds a restart, which splices the value ``x`` at ``pos`` and the later
-    state ``v`` above it into ``ds`` and hands the resulting slot to the
-    sequential continuation ``k``."""
+    ``ds`` defines ``pos`` it holds no continuation, since every stage that
+    extends this one defines ``pos`` too; otherwise it holds a restart,
+    which splices the value ``x`` at ``pos`` and the later state ``v``
+    above it into ``ds`` and hands the resulting slot to the sequential
+    continuation ``k``."""
     if ds.defined_at(pos):
-        return YPair(ds, zero_cont)
-    return YPair(ds, lambda v, x: k(YPair(ds.splice(pos, x, v), zero_cont)))
+        return YPair(ds, None)
+    return YPair(ds, lambda v, x: k(YPair(ds.splice(pos, x, v), None)))
 
 
-def _lift_staged(params: RecursorParams,
-                 zero_cont: Callable[[PartialFn, Any], Any]
-                 ) -> RecursorParams:
-    """Parameters for the sequential engine over staging slots."""
-    y_zero = YPair(EMPTY, zero_cont)
-
+def _lift_staged(params: RecursorParams) -> RecursorParams:
+    """Parameters for the sequential engine over staging slots.  The body
+    runs only where the lifted control stopped, so the index ``m`` it
+    reads lies below ``len(s)``, and a slot whose position the diagonal
+    leaves undefined holds a restart."""
     def control(alpha: InfSeq) -> int:
         return params.control(diag_infinite(alpha, params.default))
 
     def step(s: FiniteSeq, n: int, p: Callable[[YPair], Any]) -> Any:
-        return p(_slot(diag_finite(s), n, p, zero_cont))
+        return p(_slot(diag_finite(s), n, p))
 
     def body(s: FiniteSeq) -> Any:
         ds = diag_finite(s)
         m = params.control(extend_hat(ds, params.default))
         if ds.defined_at(m):
             return params.body(ds)
-        slot = extend_hat(s, y_zero)(m)
-        return params.step(ds, m, sibling_cache(lambda x: slot.cont(ds, x)))
+        cont = s[m].cont
+        return params.step(ds, m, sibling_cache(lambda x: cont(ds, x)))
 
     return RecursorParams(step=step, body=body, control=control,
-                          default=y_zero,
+                          default=YPair(EMPTY, None),
                           default_result=params.default_result)
 
 
@@ -170,18 +167,17 @@ def _build_stages(params: RecursorParams, decomp: list, ctx: EvalContext
     update sequence ``decomp``.
 
     Stage ``i+1`` either truncates stage ``i`` just below the named
-    index (when that index was already staged) or pads it with restart
-    slots up to the named index; either way the updated thread snapshot
-    lands at the named index, so stage ``i+1`` has length ``n_i + 1``.
-    Stages are ``FiniteSeq`` views grown by ``append`` and cut by
-    ``take``, so they share their slots.  Restart slots are built left to
-    right, each closing over the view of the stage already built, which
-    is all a restart needs to re-run the sequential engine with its own
-    position filled in."""
-    def zero_cont(_v: PartialFn, _x: Any) -> Any:
-        return params.default_result
-
-    lifted = _lift_staged(params, zero_cont)
+    index (when that index was already staged) or pads it with slots up
+    to the named index; either way the updated thread snapshot lands at
+    the named index, with no continuation since it defines that index, so
+    stage ``i+1`` has length ``n_i + 1``.  A padding slot holds a restart
+    at a position the stage's diagonal leaves undefined and no
+    continuation elsewhere.  Stages are ``FiniteSeq`` views grown by
+    ``append`` and cut by ``take``, so they share their slots.  Padding
+    slots are built left to right, each restart closing over the view of
+    the stage already built, which is all it needs to re-run the
+    sequential engine with its own position filled in."""
+    lifted = _lift_staged(params)
     stages = [EMPTY_SEQ]
     for k, (n, _) in enumerate(decomp):
         stage = stages[-1]
@@ -193,9 +189,8 @@ def _build_stages(params: RecursorParams, decomp: list, ctx: EvalContext
                 def rerun(slot: YPair, built: FiniteSeq = stage) -> Any:
                     return br(lifted, built.append(slot), ctx)
 
-                stage = stage.append(_slot(ds, pos, rerun, zero_cont))
-        stages.append(stage.append(YPair(PartialFn(decomp[:k + 1]),
-                                         zero_cont)))
+                stage = stage.append(_slot(ds, pos, rerun))
+        stages.append(stage.append(YPair(PartialFn(decomp[:k + 1]), None)))
     return lifted, stages
 
 

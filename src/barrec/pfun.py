@@ -55,7 +55,7 @@ import operator
 from bisect import bisect_left, bisect_right
 from functools import partial
 from itertools import islice, repeat
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
 _new = object.__new__
 _index = operator.itemgetter(0)
@@ -249,11 +249,6 @@ class PartialFn:
     def domain(self) -> tuple:
         return tuple(n for n, _ in self.entries)
 
-    def max_index(self) -> Any:
-        if not self.entries:
-            raise ValueError("empty partial function has no maximal index")
-        return self.entries[-1][0]
-
     def update(self, n: Any, x: Any) -> "PartialFn":
         """The update ``u (+) (n, x)``: extend at ``n`` unless ``n`` is
         already defined, in which case the existing value wins and the
@@ -404,11 +399,3 @@ def extension_source(alpha: InfSeq) -> Any:
     source = getattr(alpha.func, "__self__", None)
     return source if type(source) in (_Extension, _SeqExtension) else None
 
-
-def bounded_search(bound: int, pred: Callable[[int], bool]) -> int:
-    """Bounded search: the least ``i <= bound`` satisfying ``pred``, or
-    ``bound`` itself when no such ``i`` exists."""
-    for i in range(bound):
-        if pred(i):
-            return i
-    return bound

@@ -19,7 +19,9 @@ charges one tick and evaluates the control once.
 an independent reference for ``theta_bound``, and ``spec_witness``
 converts it into a stopping point for the sequential bar condition by
 walking value/flag pairs under ``stubborn_control``, where the flag marks
-a position as filled.
+a position as filled.  ``stubborn_control`` owns that pair: it reads a
+``TaggedValue``, defined beside it, which ``spec_witness`` builds here and
+the sequential-from-symmetric translation in ``interdef`` builds there.
 """
 
 from __future__ import annotations
@@ -28,9 +30,16 @@ from itertools import count
 from typing import Any, Callable, NamedTuple, Optional
 
 from .context import EvalContext
-from .pfun import EMPTY, InfSeq, PartialFn, bounded_search, extend_hat
+from .pfun import EMPTY, InfSeq, PartialFn, extend_hat
 
 Control = Callable[[InfSeq], Any]
+
+
+class TaggedValue(NamedTuple):
+    """A value paired with a filled/unfilled flag (1 = filled)."""
+
+    value: Any
+    flag: int
 
 
 class ThreadStep(NamedTuple):
@@ -143,13 +152,13 @@ def sspec_witness(control: Control, alpha: InfSeq, default: Any,
 
 
 def stubborn_control(control: Control) -> Control:
-    """The control over value/flag pairs (flag 1 = filled) that names the
-    first unfilled position at or below ``control``'s answer on the
-    values, found by bounded search.  Driving a thread construction with
-    it fills positions in order."""
+    """The control over ``TaggedValue`` pairs that names the first
+    unfilled position below ``control``'s answer on the values, or that
+    answer itself when every position below it is filled.  Driving a
+    thread construction with it fills positions in order."""
     def stubborn(beta: InfSeq) -> int:
-        bound = control(InfSeq(lambda k: beta(k)[0]))
-        return bounded_search(bound, lambda i: beta(i)[1] == 0)
+        bound = control(InfSeq(lambda k: beta(k).value))
+        return next((i for i in range(bound) if not beta(i).flag), bound)
 
     return stubborn
 
@@ -164,6 +173,6 @@ def spec_witness(control: Control, alpha: InfSeq, default: Any,
     position, and drives the thread construction with the stubborn
     control.  The source is total, so the least stopping point of that
     walk is its length: ``theta_bound``."""
-    tagged_alpha = InfSeq(lambda k: (alpha(k), 1))
+    tagged_alpha = InfSeq(lambda k: TaggedValue(alpha(k), 1))
     return theta_bound(stubborn_control(control), tagged_alpha,
-                       (default, 0), ctx)
+                       TaggedValue(default, 0), ctx)

@@ -243,8 +243,9 @@ def test_bench_text_marks_error_rows():
     assert text.splitlines()[2].split()[3:5] == ["depth!", "fuel!"]
 
 
-def test_bench_empty_range_exit_2(capsys):
-    rc, out = run_main(["bench", "--n", "6..4"], capsys)
+@pytest.mark.parametrize("n", ["6..4", "3.."])
+def test_bench_empty_range_exit_2(n, capsys):
+    rc, out = run_main(["bench", "--n", n], capsys)
     assert rc == 2
     assert out == ""
 

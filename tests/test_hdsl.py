@@ -431,8 +431,9 @@ def _binders(n):
 
 
 def test_binders_nested_to_the_bound_compile(default_recursion_limit):
-    # Past 20 nested loops CPython refuses to compile one function, so
-    # the deepest binders run in generated functions of their own.
+    # Every binder is the body of a generated function of its own, one
+    # loop, and an inner binder is a call of it: no function nests one
+    # loop in another, however deep the binders go.
     e = _at_the_bound(_binders(MAX_DEPTH - 2), _binders(MAX_DEPTH - 1))
     for x, value in ((1, 1), (2, 2), (5, 7)):
         assert _agrees_with_reference(e, InfSeq.constant(x)) == value
@@ -450,9 +451,9 @@ _IF_CHAINS = {
 @pytest.mark.parametrize("branch", sorted(_IF_CHAINS))
 def test_if_chains_nested_to_the_bound_compile(default_recursion_limit,
                                                branch):
-    # Past 100 levels of indentation CPython refuses to compile, and each
-    # if here is a statement that indents its branches once; the deepest
-    # ones move into functions of their own.
+    # Each if is a conditional expression, one level per if, so the chain
+    # stays one expression below ``_MAX_NESTING``; each binder runs only
+    # on some paths and is a call of a function of its own.
     chain = _IF_CHAINS[branch]
     e = _at_the_bound(chain(MAX_DEPTH - 3), chain(MAX_DEPTH - 2))
     assert _source(e)[0].count("def ") > 1
@@ -463,9 +464,9 @@ def test_if_chains_nested_to_the_bound_compile(default_recursion_limit,
 
 def test_ifs_that_emit_no_statement_stay_in_one_function(
         default_recursion_limit):
-    # The ifs stay conditional expressions until the nesting bound binds
-    # one to a temporary; the 48 ifs around it become statements, so the
-    # deepest line nests in 48 blocks and no block moves out.
+    # The 98 ifs nest 99 levels, below ``_MAX_NESTING``, so the chain is
+    # one conditional expression in the term's own function, with no
+    # temporary and no call.
     e = parse("if 0 < 1 then " * 98 + "7" + " else 0" * 98)
     assert _source(e)[0].count("def ") == 1
     assert _agrees_with_reference(e, InfSeq.constant(0)) == 7

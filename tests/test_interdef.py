@@ -2,16 +2,27 @@
 
 import random
 from dataclasses import replace
+from unittest import mock
 
-from barrec import gen
-from barrec.interdef import (TaggedValue, YPair, br_from_sbr, carrier_stages,
-                             diag_finite, diag_infinite, sbr_from_br,
-                             theta_from_br, _embed_seq, _lift_sequential,
-                             _unembed)
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from barrec import context, gen, interdef
+from barrec.interdef import (YPair, br_from_sbr, carrier_stages, diag_finite,
+                             diag_infinite, sbr_from_br, theta_from_br,
+                             _embed_seq, _lift_sequential, _unembed)
 from barrec.pfun import EMPTY, EMPTY_SEQ, FiniteSeq, InfSeq, PartialFn, \
     extend_hat
 from barrec.recursors import RecursorParams, br, sbr, theta
 from barrec.threads import thread_of_partial
+
+# The engines raise the recursion limit on first use; raising it here
+# keeps a Hypothesis test from seeing it change while it runs.
+context.ensure_stack()
+
+# Seeded, shrinking oracles: a failing instance is reduced to a small one.
+oracle = settings(max_examples=200, deadline=None, derandomize=True,
+                  database=None)
 
 
 def zero_cont(_v, _x):
@@ -22,13 +33,7 @@ def test_embedding_round_trip():
     rng = random.Random(1)
     for _ in range(50):
         s = FiniteSeq(rng.randint(0, 9) for _ in range(rng.randint(0, 6)))
-        assert _unembed(_embed_seq(s), 0) == s
-
-
-def test_unembed_pads_holes():
-    u = PartialFn(((1, TaggedValue(4, 1)), (3, TaggedValue(6, 1))))
-    assert _unembed(u, 0) == FiniteSeq((0, 4, 0, 6))
-    assert _unembed(EMPTY, 0) == EMPTY_SEQ
+        assert _unembed(_embed_seq(s)) == s
 
 
 def test_lifted_control_law():
@@ -162,3 +167,44 @@ def test_sbr_from_br_differential():
     for _ in range(200):
         params, u = gen.gen_sbr_instance(rng)
         assert sbr_from_br(params, u) == sbr(params, u)
+
+
+def _checked_lift(params):
+    """``_lift_sequential(params)`` with a check, on every state the
+    symmetric engine steps or stops on, that the state is an initial
+    segment and that a step extends it at its end."""
+    lifted = _lift_sequential(params)
+
+    def body(u):
+        assert u.domain() == tuple(range(len(u))), u
+        return lifted.body(u)
+
+    def step(u, n, p):
+        assert u.domain() == tuple(range(len(u))), u
+        assert n == len(u), (u, n)
+        return lifted.step(u, n, p)
+
+    return replace(lifted, step=step, body=body)
+
+
+@oracle
+@given(st.randoms(use_true_random=False))
+def test_br_from_sbr_oracle(rng):
+    params, s = gen.gen_br_instance(rng)
+    with mock.patch.object(interdef, "_lift_sequential", _checked_lift):
+        assert br_from_sbr(params, s) == br(params, s)
+
+
+@oracle
+@given(st.randoms(use_true_random=False))
+def test_sbr_from_br_oracle(rng):
+    params, u = gen.gen_sbr_instance(rng)
+    assert sbr_from_br(params, u) == sbr(params, u)
+
+
+@oracle
+@given(st.randoms(use_true_random=False))
+def test_theta_from_br_oracle(rng):
+    control, u = gen.gen_thread_input(rng)
+    params = replace(gen.gen_sbr_instance(rng)[0], control=control)
+    assert theta_from_br(params, u) == theta(params, u)

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 from barrec.context import sibling_cache
 from barrec.pfun import (EMPTY, FiniteSeq, InfSeq, PartialFn, _seq_view,
-                         bounded_search, extend_hat, extend_table,
-                         extension_source)
+                         extend_hat, extend_table, extension_source)
 
 indices = st.integers(min_value=0, max_value=30)
 values = st.integers(min_value=0, max_value=9)
@@ -266,12 +265,6 @@ def test_extension_source_is_the_record_the_extension_reads():
 def test_json_forms():
     u = PartialFn(((2, 9), (0, 4)))
     assert json.dumps(u.to_json()) == '{"0": 4, "2": 9}'
-
-
-def test_bounded_search():
-    assert bounded_search(10, lambda i: i >= 4) == 4
-    assert bounded_search(3, lambda i: False) == 3
-    assert bounded_search(0, lambda i: True) == 0
 
 
 # -- Model tests: the carriers against a tuple and a dict. --------------------

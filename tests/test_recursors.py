@@ -296,7 +296,7 @@ def test_body_follows_the_control_that_stopped_on_its_state():
                 alpha = log[k - 1][1]
                 # One past the state's top index.
                 end = (len(state) if isinstance(state, FiniteSeq)
-                       else state.max_index() + 1 if len(state) else 0)
+                       else state.entries[-1][0] + 1 if len(state) else 0)
                 ext = extend_hat(state, params.default)
                 assert [alpha(i) for i in range(end + 8)] == \
                     [ext(i) for i in range(end + 8)], (name, seed)

@@ -9,9 +9,10 @@ from barrec import gen
 from barrec.context import EvalContext, FuelExhausted
 from barrec.interdef import theta_from_br
 from barrec.pfun import EMPTY, InfSeq, PartialFn, extend_hat
-from barrec.threads import (is_thread, spec_witness, sspec_witness,
-                            theta_bound, thread_decomposition,
-                            thread_of_partial, thread_of_total, trace_thread)
+from barrec.threads import (TaggedValue, is_thread, spec_witness,
+                            sspec_witness, stubborn_control, theta_bound,
+                            thread_decomposition, thread_of_partial,
+                            thread_of_total, trace_thread)
 
 U123 = PartialFn(((1, 1), (2, 2), (3, 3)))
 
@@ -79,6 +80,18 @@ def test_spec_witness_examples():
     assert spec_witness(lambda a: 0, InfSeq(lambda n: n), 0) == 1
     assert spec_witness(lambda a: a(0), InfSeq.constant(5), 0) == 6
     assert spec_witness(lambda a: a(0) + a(1), InfSeq.constant(1), 0) == 3
+
+
+def test_stubborn_control_names_the_least_unfilled_index_below_its_bound():
+    def tagged(bound, filled):
+        # ``bound`` at index 0, read by the control below.
+        return InfSeq(lambda i: TaggedValue(bound if i == 0 else 0,
+                                            int(filled(i))))
+
+    stubborn = stubborn_control(lambda a: a(0))
+    assert stubborn(tagged(10, lambda i: i < 4)) == 4
+    assert stubborn(tagged(3, lambda i: True)) == 3
+    assert stubborn(tagged(0, lambda i: False)) == 0
 
 
 def brute_force_stop(control, alpha, bound=200):
