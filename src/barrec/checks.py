@@ -1,9 +1,16 @@
 """Seeded verification suites shared by the CLI and the test suite.
 
-Each suite runs generated cases and, where it has them, built-in
-instances; ``cases`` bounds every loop of a suite.  A suite reports a
-pass/fail count with the first few failure descriptions.  All randomness
-flows from one seed, so a (seed, cases) pair pins the exact workload.
+Each law is a generator of ``(ok, describe)`` checks.  Most laws are
+functions of one random generator, from which they draw their instance;
+a few take a built-in ``(family, n)`` cell, or a family together with the
+generator.  ``tests/test_laws.py`` runs every law of a generator alone
+under Hypothesis, so a failing case shrinks to a small instance.
+
+A suite is a short list of laws with its loop bounds; ``cases`` bounds
+every loop of a suite.  ``_suite`` owns the rest: one
+``random.Random(seed)`` threaded through the laws in order, the case
+labels, and a pass/fail count with the first few failure descriptions.
+So a (seed, cases) pair pins the exact workload.
 """
 
 from __future__ import annotations
@@ -50,267 +57,274 @@ class SuiteResult:
         return self.failed == 0
 
 
-def suite_threads(seed: int = 0, cases: int = 500) -> SuiteResult:
-    """Thread laws: monotone growth, stabilisation, decomposition,
-    witness bounds, and stopping-point validity."""
-    rng = random.Random(seed)
-    res = SuiteResult("threads")
-    for case in range(cases):
-        control = gen.gen_control(rng)
-        alpha = gen.gen_alpha(rng)
-        if rng.random() < 0.5:
-            u = thread_of_total(control, alpha, rng.randint(0, 6), 0)
-        else:
-            u = gen.gen_partial(rng, 4)
+# -- laws ---------------------------------------------------------------------
 
-        prev = thread_of_partial(control, u, 0, 0)
-        mono = True
-        for i in range(1, len(u) + 2):
-            cur = thread_of_partial(control, u, i, 0)
-            if not (prev.leq(cur) and len(cur) <= i):
-                mono = False
-            prev = cur
-        res.check(mono, "case %d: thread growth not monotone" % case)
+def thread_laws(rng: random.Random) -> Iterator[tuple]:
+    """Threads of a partial function start empty, grow monotonically and
+    stabilise past its size; a partial function is a thread exactly when
+    it decomposes into distinct updates of its own values; the stopping
+    witness of a total sequence lies within the thread bound and stops;
+    and Spector's stopping point lies past the bar."""
+    control = gen.gen_control(rng)
+    alpha = gen.gen_alpha(rng)
+    if rng.random() < 0.5:
+        u = thread_of_total(control, alpha, rng.randint(0, 6), 0)
+    else:
+        u = gen.gen_partial(rng, 4)
 
-        decomp = thread_decomposition(control, u, 0)
-        thread = is_thread(control, u, 0)
-        if thread:
-            ok = (decomp is not None and len(decomp) == len(u)
-                  and len({n for n, _ in decomp}) == len(decomp)
-                  and all(u.defined_at(n) and u(n) == x for n, x in decomp))
-        else:
-            ok = decomp is None
-        res.check(ok, "case %d: decomposition disagrees with the thread "
-                      "predicate" % case)
+    prev = thread_of_partial(control, u, 0, 0)
+    mono = len(prev) == 0
+    for i in range(1, len(u) + 2):
+        cur = thread_of_partial(control, u, i, 0)
+        mono &= (prev.leq(cur) and len(cur) <= i
+                 and (i <= len(u) or cur == prev))
+        prev = cur
+    yield mono, "threads do not grow monotonically to a fixed point"
 
-        bound = theta_bound(control, alpha, 0)
-        witness = sspec_witness(control, alpha, 0)
-        res.check(witness <= bound,
-                  "case %d: witness %d above bound %d"
-                  % (case, witness, bound))
-        t = thread_of_total(control, alpha, witness, 0)
-        res.check(t.defined_at(control(extend_hat(t, 0))),
-                  "case %d: witness %d does not stop" % (case, witness))
+    decomp = thread_decomposition(control, u, 0)
+    if is_thread(control, u, 0):
+        ok = (decomp is not None and len(decomp) == len(u)
+              and len({n for n, _ in decomp}) == len(decomp)
+              and all(u.defined_at(n) and u(n) == x for n, x in decomp))
+    else:
+        ok = decomp is None
+    yield ok, "decomposition disagrees with the thread predicate"
 
-        stop = spec_witness(control, alpha, 0)
-        seq_prefix = extend_hat(
-            PartialFn((i, alpha(i)) for i in range(stop)), 0)
-        res.check(control(seq_prefix) < stop,
-                  "case %d: stopping point %d not below bar" % (case, stop))
-    return res
+    bound = theta_bound(control, alpha, 0)
+    witness = sspec_witness(control, alpha, 0)
+    yield witness <= bound, "witness %d above bound %d" % (witness, bound)
+    t = thread_of_total(control, alpha, witness, 0)
+    yield (t.defined_at(control(extend_hat(t, 0))),
+           "witness %d does not stop" % witness)
+
+    stop = spec_witness(control, alpha, 0)
+    seq_prefix = extend_hat(PartialFn((i, alpha(i)) for i in range(stop)), 0)
+    yield control(seq_prefix) < stop, "stopping point %d not below bar" % stop
 
 
-def suite_recursors(seed: int = 0, cases: int = 200) -> SuiteResult:
-    """Engine laws: immediate stops, thread restriction, deterministic
-    counters, domain growth, and witness-bounded depth."""
-    rng = random.Random(seed)
-    res = SuiteResult("recursors")
-    for case in range(cases):
-        params, s = gen.gen_br_instance(rng)
-        ctx1 = EvalContext()
-        r1 = br(params, s, ctx1)
-        ctx2 = EvalContext()
-        r2 = br(params, s, ctx2)
-        res.check(r1 == r2 and ctx1.calls == ctx2.calls,
-                  "case %d: sequential run not reproducible" % case)
-        bar_now = params.control(extend_hat(s, 0)) < len(s)
-        res.check((ctx1.calls == 1) == bar_now,
-                  "case %d: immediate stop mismatch" % case)
-        res.check(ctx1.max_domain >= len(s),
-                  "case %d: max_domain below start" % case)
-
-        sparams, u = gen.gen_sbr_instance(rng)
-        ctx3 = EvalContext()
-        sbr(sparams, u, ctx3)
-        n0 = sparams.control(extend_hat(u, 0))
-        res.check((ctx3.calls == 1) == u.defined_at(n0),
-                  "case %d: symmetric immediate stop mismatch" % case)
-
-        control, tu = gen.gen_thread_input(rng)
-        tparams = replace(gen.gen_sbr_instance(rng)[0], control=control)
-        res.check(theta(tparams, tu) == sbr(tparams, tu),
-                  "case %d: thread restriction changed a thread value"
-                  % case)
-
-        alpha = gen.gen_alpha(rng)
-        follow = replace(
-            tparams,
-            step=lambda v, n, p: p(alpha(n)),
-            body=lambda v: len(v))
-        ctx4 = EvalContext()
-        depth = sbr(follow, EMPTY, ctx4)
-        res.check(depth == sspec_witness(control, alpha, 0),
-                  "case %d: depth along a fixed sequence is not the "
-                  "stopping witness" % case)
-    return res
+def br_laws(rng: random.Random) -> Iterator[tuple]:
+    """Spector's recursor is deterministic, counters included; it stops
+    at once exactly when the bar holds of its start, and its domain
+    never falls below the start."""
+    params, s = gen.gen_br_instance(rng)
+    ctx1, ctx2 = EvalContext(), EvalContext()
+    r1 = br(params, s, ctx1)
+    r2 = br(params, s, ctx2)
+    yield (r1 == r2 and ctx1.calls == ctx2.calls,
+           "sequential run not reproducible")
+    bar_now = params.control(extend_hat(s, 0)) < len(s)
+    yield (ctx1.calls == 1) == bar_now, "immediate stop mismatch"
+    yield ctx1.max_domain >= len(s), "max_domain below start"
 
 
-def _builtin_cells() -> Iterator[tuple]:
-    """Every built-in family over its ``bench`` range, as ``(family, n)``."""
-    return ((family, n) for family, ns in BENCH_RANGES.items() for n in ns)
+def sbr_stop_law(rng: random.Random) -> Iterator[tuple]:
+    """The demand-driven recursor stops at once exactly when the control
+    names an index its start defines."""
+    params, u = gen.gen_sbr_instance(rng)
+    ctx = EvalContext()
+    sbr(params, u, ctx)
+    n0 = params.control(extend_hat(u, 0))
+    yield (ctx.calls == 1) == u.defined_at(n0), \
+        "symmetric immediate stop mismatch"
 
 
-def suite_spector(seed: int = 0, cases: int = 100) -> SuiteResult:
-    """Both solvers satisfy the three equations, on generated ground
-    instances and on the built-in functional families."""
-    rng = random.Random(seed)
-    res = SuiteResult("spector")
-    instances = chain(
-        (("case %d" % case, gen.gen_choice_instance(rng))
-         for case in range(cases)),
-        (("%s n=%d" % (family, n), make_choice_params(builtin_h(family, n)))
-         for family, n in islice(_builtin_cells(), cases)))
-    for label, cp in instances:
-        for tag, solver in (("seq", solve_spector), ("sym", solve_symmetric)):
-            sol = solver(cp, EvalContext())
-            res.check(verify_equations(sol, cp),
-                      "%s: %s solution fails the equations" % (label, tag))
-    return res
+def theta_laws(rng: random.Random) -> Iterator[tuple]:
+    """Restricting the demand-driven recursor to threads changes no
+    thread's value; and along a fixed total sequence its depth, and its
+    largest domain, is the sequence's stopping witness."""
+    control, u = gen.gen_thread_input(rng)
+    params = replace(gen.gen_sbr_instance(rng)[0], control=control)
+    yield theta(params, u) == sbr(params, u), \
+        "thread restriction changed a thread value"
+    alpha = gen.gen_alpha(rng)
+    follow = replace(params, step=lambda v, n, p: p(alpha(n)), body=len)
+    ctx = EvalContext()
+    depth = sbr(follow, EMPTY, ctx)
+    yield (depth == sspec_witness(control, alpha, 0) == ctx.max_domain,
+           "depth along a fixed sequence is not the stopping witness")
 
 
-def suite_indexwise(seed: int = 0, cases: int = 50) -> SuiteResult:
-    """Index-by-index equations on both carriers, over the order in which
-    each was filled, carrier threadhood, re-rooting stability, and
-    agreement of the demand-driven carrier with its translation onto the
-    sequential engine."""
-    rng = random.Random(seed)
-    res = SuiteResult("indexwise")
-    for case in range(cases):
-        cp = gen.gen_choice_instance(rng)
-        ctx = EvalContext()
-        t = phi_spector(cp, EMPTY_SEQ, ctx)
-        v = psi_symmetric(cp, EMPTY, ctx)
-        try:
-            v_order = fill_order(cp, v, ctx)
-        except InternalInvariantViolation:
-            v_order = None
-        res.check(v_order is not None,
-                  "case %d: demand-driven carrier is not a thread" % case)
-        for tag, carrier, order in (
-                ("sequential", t, fill_order(cp, t, ctx)),
-                ("demand-driven", v, v_order)):
-            if order is None:
-                continue  # a non-thread, already failed by the check above
-            f = extend_hat(carrier, cp.default)
-            qt = cp.q(f)
-            for k, n in enumerate(order):
-                p = reroot(cp, carrier, order, k, ctx)
-                sel = cp.eps(n)(p)
-                res.check(f(n) == sel,
-                          "case %d: %s carrier value at %d is not the "
-                          "selection" % (case, tag, n))
-                res.check(qt == p(sel),
-                          "case %d: %s observation differs at fill %d"
-                          % (case, tag, k))
-        for i in range(len(v) + 1):
-            res.check(psi_symmetric(cp, thread_prefix(cp, v, i, ctx),
-                                    ctx) == v,
-                      "case %d: re-rooting at thread prefix %d moved the "
-                      "carrier" % (case, i))
-        res.check(sbr_from_br(symmetric_params(cp), EMPTY) == v,
-                  "case %d: symmetric-from-sequential carrier disagrees"
-                  % case)
-    return res
+def _equations(cp) -> Iterator[tuple]:
+    for tag, solver in (("seq", solve_spector), ("sym", solve_symmetric)):
+        yield (verify_equations(solver(cp, EvalContext()), cp),
+               "%s solution fails the equations" % tag)
 
 
-def interdef_differential(rng: random.Random, cases: int) -> Iterator[tuple]:
-    """Each translation against the direct engine on ``cases`` generated
-    instances per direction: yields ``(case, direction, agree)``, first
-    ``"sequential"`` (``br_from_sbr`` against ``br``), then
-    ``"symmetric"`` (``sbr_from_br`` against ``sbr``)."""
-    for case in range(cases):
-        params, s = gen.gen_br_instance(rng)
-        yield case, "sequential", br_from_sbr(params, s) == br(params, s)
-        sparams, u = gen.gen_sbr_instance(rng)
-        yield case, "symmetric", sbr_from_br(sparams, u) == sbr(sparams, u)
+def choice_law(rng: random.Random) -> Iterator[tuple]:
+    """Both solvers' solutions satisfy the three equations on a generated
+    ground instance."""
+    yield from _equations(gen.gen_choice_instance(rng))
 
 
-def suite_interdef(seed: int = 0, cases: int = 200) -> SuiteResult:
-    """Differential equivalence of each translation against the direct
-    engine, plus the staged-representation read-back identity on
-    generated threads."""
-    rng = random.Random(seed)
-    res = SuiteResult("interdef")
-    for case, direction, agree in interdef_differential(rng, cases):
-        res.check(agree, "case %d: %s translation differs"
-                  % (case, direction))
-    for case in range(min(cases, 100)):
-        control, u = gen.gen_thread_input(rng)
-        params = replace(gen.gen_sbr_instance(rng)[0], control=control)
-        res.check(theta_from_br(params, u) == theta(params, u),
-                  "thread case %d: staged thread recursor differs" % case)
-        stages = carrier_stages(params, u)
-        ok = True
-        for i in range(len(u) + 1):
-            if diag_finite(stages[i]) != thread_of_partial(control, u, i, 0):
-                ok = False
-        res.check(ok, "thread case %d: stage read-back misses the thread"
-                  % case)
-        lengths_ok = True
-        thread = EMPTY
-        for i in range(len(u)):
-            ni = control(extend_hat(thread, 0))
-            thread = thread.update(ni, u(ni))
-            if len(stages[i + 1]) != ni + 1:
-                lengths_ok = False
-        res.check(lengths_ok, "thread case %d: stage length is not the "
-                              "named index plus one" % case)
-        nonthread = PartialFn(((control(extend_hat(EMPTY, 0)) + 1, 0),))
-        if not is_thread(control, nonthread, 0):
-            res.check(theta_from_br(params, nonthread) == 0,
-                      "thread case %d: staged recursor nonzero off "
-                      "threads" % case)
-    return res
+def choice_cell_law(family: str, n: int) -> Iterator[tuple]:
+    """Both solvers' solutions satisfy the three equations on a built-in
+    functional."""
+    yield from _equations(make_choice_params(builtin_h(family, n)))
 
 
-def suite_counterexamples(seed: int = 0, cases: int = 100) -> SuiteResult:
-    """Collision extraction is valid for the built-in families over their
-    table ranges and for generated DSL functionals, on both solvers."""
-    rng = random.Random(seed)
-    res = SuiteResult("counterexamples")
-    instances = chain(
-        (("%s n=%d" % (family, n), builtin_h(family, n))
-         for family, n in islice(_builtin_cells(), cases)),
-        (("dsl case %d" % case, gen.gen_h_for_counterexample(rng)[1])
-         for case in range(cases)))
-    for label, h in instances:
-        for recursor in RECURSORS:
-            c = counterexample(h, recursor, EvalContext())
-            res.check(verify_counterexample(h, c),
-                      "%s %s: invalid collision" % (label, recursor))
-    return res
+def indexwise_law(rng: random.Random) -> Iterator[tuple]:
+    """The demand-driven carrier is a thread.  On both carriers, over the
+    order in which each was filled, ``f(n) = eps_n(p)`` and ``q(f) =
+    p(f(n))`` at every fill; re-rooting at a thread prefix leaves the
+    demand-driven carrier; and its translation onto the sequential
+    engine builds the same carrier."""
+    cp = gen.gen_choice_instance(rng)
+    ctx = EvalContext()
+    t = phi_spector(cp, EMPTY_SEQ, ctx)
+    v = psi_symmetric(cp, EMPTY, ctx)
+    try:
+        v_order = fill_order(cp, v, ctx)
+    except InternalInvariantViolation:
+        v_order = None
+    yield v_order is not None, "demand-driven carrier is not a thread"
+    for tag, carrier, order in (("sequential", t, fill_order(cp, t, ctx)),
+                                ("demand-driven", v, v_order)):
+        if order is None:
+            continue  # a non-thread, already failed by the check above
+        f = extend_hat(carrier, cp.default)
+        qt = cp.q(f)
+        for k, n in enumerate(order):
+            p = reroot(cp, carrier, order, k, ctx)
+            sel = cp.eps(n)(p)
+            yield (f(n) == sel,
+                   "%s carrier value at %d is not the selection" % (tag, n))
+            yield qt == p(sel), "%s observation differs at fill %d" % (tag, k)
+    for i in range(len(v) + 1):
+        yield (psi_symmetric(cp, thread_prefix(cp, v, i, ctx), ctx) == v,
+               "re-rooting at thread prefix %d moved the carrier" % i)
+    yield sbr_from_br(symmetric_params(cp), EMPTY) == v, \
+        "symmetric-from-sequential carrier disagrees"
 
 
-def suite_dsl(seed: int = 0, cases: int = 200) -> SuiteResult:
-    """DSL conformance: built-in families against their DSL renderings
-    on generated sequences, and printer round-trips."""
-    rng = random.Random(seed)
-    res = SuiteResult("dsl")
-    for family in FAMILIES[:cases]:
-        n = rng.randint(2, 6)
-        href = builtin_h(family, n)
-        hdsl_fn = hdsl.as_functional(hdsl.parse(builtin_dsl(family, n)))
-        agree = True
-        for _ in range(min(cases, 100)):
-            gamma = gen.gen_alpha(rng)
-            if href(gamma) != hdsl_fn(gamma):
-                agree = False
-        res.check(agree, "%s n=%d: DSL rendering disagrees" % (family, n))
-    for case in range(cases):
-        e = gen.gen_hexpr(rng, depth=rng.randint(0, 3))
-        res.check(hdsl.parse(hdsl.to_text(e)) == e,
-                  "case %d: round-trip changed the term" % case)
-    return res
+def br_from_sbr_law(rng: random.Random) -> Iterator[tuple]:
+    """Spector's recursor defined from the demand-driven one agrees with
+    it."""
+    params, s = gen.gen_br_instance(rng)
+    yield br_from_sbr(params, s) == br(params, s), \
+        "sequential translation differs"
+
+
+def sbr_from_br_law(rng: random.Random) -> Iterator[tuple]:
+    """The demand-driven recursor defined from Spector's agrees with
+    it."""
+    params, u = gen.gen_sbr_instance(rng)
+    yield sbr_from_br(params, u) == sbr(params, u), \
+        "symmetric translation differs"
+
+
+def staged_law(rng: random.Random) -> Iterator[tuple]:
+    """The thread recursor defined from Spector's agrees with it on a
+    thread and is zero off threads; its stages, one per update, read back
+    the thread's prefixes, and each is one longer than the index its
+    update named."""
+    control, u = gen.gen_thread_input(rng)
+    params = replace(gen.gen_sbr_instance(rng)[0], control=control)
+    yield theta_from_br(params, u) == theta(params, u), \
+        "staged thread recursor differs"
+    stages = carrier_stages(params, u)
+    read_back = all(diag_finite(stage) == thread_of_partial(control, u, i, 0)
+                    for i, stage in enumerate(stages[:len(u)]))
+    yield (read_back and diag_finite(stages[-1]) == u,
+           "stage read-back misses the thread")
+    lengths_ok = len(stages) == len(u) + 1
+    thread = EMPTY
+    for i in range(len(u)):
+        ni = control(extend_hat(thread, 0))
+        thread = thread.update(ni, u(ni))
+        lengths_ok &= len(stages[i + 1]) == ni + 1
+    yield lengths_ok, "stage length is not the named index plus one"
+    nonthread = PartialFn(((control(extend_hat(EMPTY, 0)) + 1, 0),))
+    if not is_thread(control, nonthread, 0):
+        yield theta_from_br(params, nonthread) == 0, \
+            "staged recursor nonzero off threads"
+
+
+def _collisions(h) -> Iterator[tuple]:
+    for recursor in RECURSORS:
+        yield (verify_counterexample(h, counterexample(h, recursor,
+                                                       EvalContext())),
+               "invalid %s collision" % recursor)
+
+
+def collision_cell_law(family: str, n: int) -> Iterator[tuple]:
+    """Both solvers extract a valid collision from a built-in functional."""
+    yield from _collisions(builtin_h(family, n))
+
+
+def collision_law(rng: random.Random) -> Iterator[tuple]:
+    """Both solvers extract a valid collision from a generated DSL
+    functional."""
+    yield from _collisions(gen.gen_h_for_counterexample(rng)[1])
+
+
+def rendering_law(rng: random.Random, family: str,
+                  samples: int) -> Iterator[tuple]:
+    """A built-in family at a drawn size agrees with its DSL rendering on
+    ``samples`` generated sequences."""
+    n = rng.randint(2, 6)
+    href = builtin_h(family, n)
+    hdsl_fn = hdsl.as_functional(hdsl.parse(builtin_dsl(family, n)))
+    agree = True
+    for _ in range(samples):
+        gamma = gen.gen_alpha(rng)
+        agree &= href(gamma) == hdsl_fn(gamma)
+    yield agree, "DSL rendering at n=%d disagrees" % n
+
+
+def roundtrip_law(rng: random.Random) -> Iterator[tuple]:
+    """Printing a generated term and parsing it back gives the term."""
+    e = gen.gen_hexpr(rng, depth=rng.randint(0, 3))
+    yield hdsl.parse(hdsl.to_text(e)) == e, "round-trip changed the term"
+
+
+# -- suites -------------------------------------------------------------------
+
+def _numbered(rng, prefix, count, *laws) -> Iterator[tuple]:
+    """``count`` generated cases labelled ``prefix N``; each runs
+    ``laws`` in order on ``rng``."""
+    return (("%s %d" % (prefix, case), law(rng))
+            for case in range(count) for law in laws)
+
+
+def _cells(count, law) -> Iterator[tuple]:
+    """The first ``count`` built-in cells of the ``bench`` ranges, each
+    run through ``law``."""
+    cells = ((family, n) for family, ns in BENCH_RANGES.items() for n in ns)
+    return (("%s n=%d" % cell, law(*cell)) for cell in islice(cells, count))
+
+
+def _suite(name, default_cases, loops):
+    """The suite ``name``: ``loops(rng, cases)`` yields ``(label,
+    checks)`` pairs, which run in order on one generator."""
+    def suite(seed: int = 0, cases: int = default_cases) -> SuiteResult:
+        res = SuiteResult(name)
+        for label, checks in loops(random.Random(seed), cases):
+            for ok, describe in checks:
+                res.check(ok, "%s: %s" % (label, describe))
+        return res
+
+    return suite
 
 
 ALL_SUITES = {
-    "threads": suite_threads,
-    "recursors": suite_recursors,
-    "spector": suite_spector,
-    "indexwise": suite_indexwise,
-    "interdef": suite_interdef,
-    "counterexamples": suite_counterexamples,
-    "dsl": suite_dsl,
+    "threads": _suite("threads", 500, lambda rng, c: _numbered(
+        rng, "case", c, thread_laws)),
+    "recursors": _suite("recursors", 200, lambda rng, c: _numbered(
+        rng, "case", c, br_laws, sbr_stop_law, theta_laws)),
+    "spector": _suite("spector", 100, lambda rng, c: chain(
+        _numbered(rng, "case", c, choice_law), _cells(c, choice_cell_law))),
+    "indexwise": _suite("indexwise", 50, lambda rng, c: _numbered(
+        rng, "case", c, indexwise_law)),
+    "interdef": _suite("interdef", 200, lambda rng, c: chain(
+        _numbered(rng, "case", c, br_from_sbr_law, sbr_from_br_law),
+        _numbered(rng, "thread case", min(c, 100), staged_law))),
+    "counterexamples": _suite("counterexamples", 100, lambda rng, c: chain(
+        _cells(c, collision_cell_law),
+        _numbered(rng, "dsl case", c, collision_law))),
+    "dsl": _suite("dsl", 200, lambda rng, c: chain(
+        ((family, rendering_law(rng, family, min(c, 100)))
+         for family in FAMILIES[:c]),
+        _numbered(rng, "case", c, roundtrip_law))),
 }
 
 

@@ -45,34 +45,6 @@ from .threads import trace_thread
 CSV_COLUMNS = ("family", "n", "recursor", "mode", "domain_size", "calls",
                "i", "valid", "error", "wall_ms")
 
-# Domain sizes and call counts reported for a lazy-evaluation
-# implementation of the same two recursors, shown alongside our strict
-# instrumented counts in text output.  Counting conventions differ, so
-# only the relative ordering is comparable.
-LAZY_REFERENCE = {
-    ("prod", 4, "spector"): (17, 1140),
-    ("prod", 5, "spector"): (33, 4650),
-    ("prod", 6, "spector"): (65, 19154),
-    ("prod", 4, "symmetric"): (1, 12),
-    ("prod", 5, "symmetric"): (1, 12),
-    ("prod", 6, "symmetric"): (1, 12),
-    ("prodpow", 3, "spector"): (577, 2350),
-    ("prodpow", 4, "spector"): (577, 365700),
-    ("prodpow", 3, "symmetric"): (1, 12),
-    ("prodpow", 4, "symmetric"): (1, 12),
-    ("leastinc", 3, "spector"): (4, 316),
-    ("leastinc", 4, "spector"): (5, 688),
-    ("leastinc", 5, "spector"): (6, 1444),
-    ("leastinc", 3, "symmetric"): (4, 52),
-    ("leastinc", 4, "symmetric"): (5, 64),
-    ("leastinc", 5, "symmetric"): (6, 76),
-}
-
-# Reference rows no source row confirms; the text table marks them.  The
-# prodpow n=3 row repeats the n=4 domain, while the closed form gives a
-# carrier of H(const 1) + 1 = 37 at n=3.
-UNVERIFIED_REFERENCE = frozenset({("prodpow", 3, "spector")})
-
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_FUEL = 3
@@ -261,23 +233,15 @@ def _bench_text(rows: list) -> str:
     for row in rows:
         cells.setdefault((row["family"], row["n"], row["recursor"]),
                          {})[row["mode"]] = row
-    header = ("%-10s %-3s %-10s %-22s %-22s %-14s"
+    header = ("%-10s %-3s %-10s %-22s %s"
               % ("family", "n", "recursor", "domain / calls(plain)",
-                 "domain / calls(memo)", "ref dom/calls"))
+                 "domain / calls(memo)"))
     lines.append(header)
     lines.append("-" * len(header))
-    unverified = False
     for (family, n, recursor), modes in cells.items():
-        ref = LAZY_REFERENCE.get((family, n, recursor))
-        ref_text = "%d / %d" % ref if ref else "-"
-        if (family, n, recursor) in UNVERIFIED_REFERENCE:
-            ref_text += " (?)"
-            unverified = True
-        lines.append("%-10s %-3s %-10s %-22s %-22s %-14s" % (
+        lines.append("%-10s %-3s %-10s %-22s %s" % (
             family, n, recursor,
-            *(_cell_text(modes.get(mode)) for mode in MODES), ref_text))
-    if unverified:
-        lines.append("(?) unverified reference row")
+            *(_cell_text(modes.get(mode)) for mode in MODES)))
     return "\n".join(lines) + "\n"
 
 
@@ -332,9 +296,12 @@ def cmd_thread(args) -> int:
 
 
 def cmd_interdef_test(args) -> int:
+    rng = random.Random(args.seed)
     results = [{"case": case, "direction": direction, "agree": agree}
-               for case, direction, agree in checks.interdef_differential(
-                   random.Random(args.seed), args.cases)]
+               for case in range(args.cases)
+               for direction, law in (("sequential", checks.br_from_sbr_law),
+                                      ("symmetric", checks.sbr_from_br_law))
+               for agree, _ in law(rng)]
     failed = sum(not r["agree"] for r in results)
     report = {"seed": args.seed, "cases": args.cases,
               "passed": len(results) - failed, "failed": failed,

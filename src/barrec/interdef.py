@@ -199,7 +199,11 @@ def theta_from_br(params: RecursorParams, u: PartialFn,
     """The thread-restricted symmetric recursor, run on the sequential
     engine over the staged representation of ``u``.  Extensionally equal
     to ``theta``: the zero result on non-threads, the symmetric recursion
-    otherwise."""
+    otherwise, for controls that name natural numbers only.  The staged
+    representation is a sequence indexed by the named indices, so other
+    indices, which ``theta`` accepts, break it: a control naming -1 raises
+    ``IndexError``, and one naming ``(0, 1)`` raises ``TypeError``.  No
+    CLI path names such an index."""
     ctx = ctx or EvalContext()
     decomp = thread_decomposition(params.control, u, params.default, ctx)
     if decomp is None:
@@ -217,7 +221,9 @@ def sbr_from_br(params: RecursorParams, u: PartialFn,
     merged extension, and a stop caused by landing inside ``u`` collapses
     the step to the body.  The translated thread-restricted recursor is
     then run from the empty state, which is trivially a thread.
-    Extensionally equal to ``sbr``."""
+    Extensionally equal to ``sbr`` on controls that name natural numbers,
+    and only there: it runs ``theta_from_br``, which stages states as
+    sequences."""
     merged = u.merge
     table = dict(u.entries)
 

@@ -109,7 +109,9 @@ def sbr(params: RecursorParams, u: PartialFn,
 
     Indices may be drawn from any ground discrete domain, that is any type
     with decidable equality and a total order (naturals, booleans, pairs
-    of these); the control must then return indices of that type.
+    of these); the control must then return indices of that type.  The
+    translations ``interdef.sbr_from_br`` and ``interdef.theta_from_br``
+    agree with ``sbr`` only on controls that name natural numbers.
     """
     ctx = ctx or EvalContext()
     ensure_stack()

@@ -90,20 +90,20 @@ def test_criterion_3_call_count_ordering():
 
 
 def test_criterion_4_equation_suite():
-    res = checks.suite_spector(seed=0, cases=100)
+    res = checks.ALL_SUITES["spector"](seed=0, cases=100)
     report(4, res.ok, "equation verification on 100 seeded instances and "
                       "all built-ins (%d checks)" % res.passed)
 
 
 def test_criterion_5_indexwise_equations():
-    res = checks.suite_indexwise(seed=0, cases=50)
+    res = checks.ALL_SUITES["indexwise"](seed=0, cases=50)
     report(5, res.ok, "index-wise equations on 50 seeded instances "
                       "(%d checks)" % res.passed)
 
 
 def test_criterion_6_interdefinability_suite():
     started = time.monotonic()
-    res = checks.suite_interdef(seed=0, cases=200)
+    res = checks.ALL_SUITES["interdef"](seed=0, cases=200)
     elapsed = time.monotonic() - started
     ok = res.ok and elapsed < 300.0
     report(6, ok, "200 differential cases per direction plus 100 staged "
@@ -111,18 +111,18 @@ def test_criterion_6_interdefinability_suite():
 
 
 def test_criterion_7_thread_laws():
-    res = checks.suite_threads(seed=0, cases=500)
+    res = checks.ALL_SUITES["threads"](seed=0, cases=500)
     report(7, res.ok, "thread laws on 500 seeded cases (%d checks)"
            % res.passed)
 
 
 def test_criterion_8_counterexample_validity():
-    res = checks.suite_counterexamples(seed=0, cases=100)
+    res = checks.ALL_SUITES["counterexamples"](seed=0, cases=100)
     report(8, res.ok, "collision validity for built-ins and 100 DSL "
                       "functionals, both recursors (%d checks)" % res.passed)
 
 
 def test_criterion_9_dsl_conformance():
-    res = checks.suite_dsl(seed=0, cases=200)
+    res = checks.ALL_SUITES["dsl"](seed=0, cases=200)
     report(9, res.ok, "DSL agreement with built-ins and 200 printer "
                       "round-trips (%d checks)" % res.passed)

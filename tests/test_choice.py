@@ -18,7 +18,7 @@ from barrec.noinjection import (BENCH_RANGES, FAMILIES, builtin_h,
                                 make_choice_params)
 from barrec.pfun import EMPTY, EMPTY_SEQ, FiniteSeq, InfSeq, PartialFn
 from barrec.recursors import br, sbr
-from barrec.threads import is_thread, thread_decomposition, thread_of_partial
+from barrec.threads import thread_decomposition
 
 
 def constant_control_params():
@@ -51,15 +51,6 @@ def test_solve_with_constant_control():
     assert sym.n == 0
     assert sym.witness.domain() == (0,)
     assert verify_equations(sym, cp)
-
-
-def test_solutions_verify_on_generated_instances():
-    rng = random.Random(40)
-    for _ in range(60):
-        cp = gen.gen_choice_instance(rng)
-        for solver in (solve_spector, solve_symmetric):
-            sol = solver(cp, EvalContext())
-            assert verify_equations(sol, cp)
 
 
 def test_corrupted_solution_fails():
@@ -117,17 +108,6 @@ def test_child_carrier_extends_state_on_generated_instances():
 def test_child_carrier_extends_state_on_builtin_instances(family):
     cp = make_choice_params(builtin_h(family, BENCH_RANGES[family][0]))
     assert _children_extend_their_states(cp) > 0
-
-
-def test_carrier_is_thread_and_rerooting_is_stable():
-    rng = random.Random(43)
-    for _ in range(30):
-        cp = gen.gen_choice_instance(rng)
-        v = psi_symmetric(cp, EMPTY, EvalContext())
-        assert is_thread(cp.control, v, cp.default)
-        for i in range(len(v) + 1):
-            prefix = thread_of_partial(cp.control, v, i, cp.default)
-            assert psi_symmetric(cp, prefix, EvalContext()) == v
 
 
 def test_indexwise_equations_sequential():

@@ -132,13 +132,6 @@ def test_bench_json_deterministic(tmp_path):
     assert spector["alpha_prefix"][16] == 2
 
 
-def test_bench_text_has_reference_column(capsys):
-    rc, out = run_main(["bench", "--family", "prod"], capsys)
-    assert rc == 0
-    assert "1140" in out and "19154" in out
-    assert "ref" in out
-
-
 def test_bench_csv_and_json_numeric_content_agree(tmp_path):
     pc = tmp_path / "b.csv"
     pj = tmp_path / "b.json"
@@ -154,11 +147,11 @@ def test_bench_csv_and_json_numeric_content_agree(tmp_path):
             assert str(jrow[key]) == crow[key]
 
 
-def test_bench_text_marks_unverified_reference(capsys):
+def test_bench_text_shows_only_measured_counts(capsys):
     rc, out = run_main(["bench", "--family", "prodpow"], capsys)
     assert rc == 0
-    assert "577 / 2350 (?)" in out and "577 / 365700 " in out
-    assert "(?) unverified reference row" in out
+    assert "prodpow    3   spector    37 / 39                37 / 39\n" in out
+    assert "577 / 2350" not in out and "(?)" not in out
 
 
 def test_bench_non_integer_range_exit_2(capsys):

@@ -4,6 +4,7 @@ import gc
 import random
 import sys
 from dataclasses import replace
+from math import factorial
 
 import pytest
 
@@ -284,6 +285,36 @@ def test_leastinc_closed_forms():
         sp = counterexample(h, "spector", EvalContext())
         assert sp.alpha.prefix(n + 2) == [2] * (n + 1) + [1]
         assert sp.beta.prefix(n + 2) == [2] * n + [1, 1]
+
+
+def _unread_index(k):
+    """The forms of a family whose control names ``k = H(constant 1)``,
+    an index ``H`` never reads."""
+    return (k + 3, k + 1, k), (3, 1, k)
+
+
+# Each family's (calls, domain_size, i) on the plain sequential and
+# demand-driven solvers, as closed forms in n, over sizes that each solve
+# in well under a second (the README's case study derives them).
+CLOSED_FORMS = {
+    "prod": (range(11), lambda n: _unread_index(2 ** n)),
+    "prodpow": (range(5), lambda n: _unread_index(factorial(n) ** 2)),
+    "leastinc": (range(0, 31, 5), lambda n: (
+        ((n + 1) * (n + 2) + 1, n + 1, n), (2 * n + 3, n + 1, n))),
+    "contrived": ((*range(1, 60, 7), 200), lambda n: (
+        (5, 1, 0), (2 * n + 3, n + 1, n))),
+}
+
+
+@pytest.mark.parametrize("family", CLOSED_FORMS)
+def test_counts_follow_the_closed_forms(family):
+    ns, forms = CLOSED_FORMS[family]
+    for n in ns:
+        h = builtin_h(family, n)
+        got = tuple((c.metrics.calls, c.carrier_size, c.i)
+                    for c in (counterexample(h, recursor, EvalContext())
+                              for recursor in RECURSORS))
+        assert got == forms(n), (family, n)
 
 
 def test_corrupted_counterexample_fails():

@@ -113,21 +113,6 @@ def test_spec_witness_against_brute_force():
         assert brute_force_stop(control, alpha) <= got
 
 
-def test_monotone_and_stabilisation():
-    rng = random.Random(5)
-    for _ in range(50):
-        control = gen.gen_control(rng)
-        u = gen.gen_thread_input(rng)[1]
-        prev = EMPTY
-        for i in range(len(u) + 2):
-            cur = thread_of_partial(control, u, i, 0)
-            assert prev.leq(cur)
-            assert len(cur) <= i
-            prev = cur
-        assert thread_of_partial(control, u, len(u), 0) == \
-            thread_of_partial(control, u, len(u) + 5, 0)
-
-
 def test_fuel_exhaustion_is_an_error():
     wide = lambda a: sum(a(i) for i in range(500))
     ctx = EvalContext(fuel=50)
