@@ -14,6 +14,7 @@ from barrec.interdef import (YPair, br_from_sbr, carrier_stages, diag_finite,
 from barrec.pfun import EMPTY, EMPTY_SEQ, FiniteSeq, InfSeq, PartialFn, \
     extend_hat
 from barrec.recursors import RecursorParams, br, sbr, theta
+from barrec.threads import thread_of_partial
 
 # The engines raise the recursion limit on first use; raising it here
 # keeps a Hypothesis test from seeing it change while it runs.
@@ -98,6 +99,16 @@ def test_theta_from_br_nonthread_returns_zero_result():
     assert theta_from_br(params, PartialFn.single(5, 1)) == -3
 
 
+def test_theta_from_br_differential_on_threads():
+    rng = random.Random(5)
+    for _ in range(100):
+        control, u = gen.gen_thread_input(rng)
+        params = replace(gen.gen_sbr_instance(rng)[0], control=control)
+        assert theta_from_br(params, u) == theta(params, u)
+    params, _ = gen.gen_sbr_instance(random.Random(6))
+    assert theta_from_br(params, EMPTY) == theta(params, EMPTY)
+
+
 def test_theta_from_br_resumes_through_a_staged_restart():
     # The thread {2: 5} stages restart slots at positions 0 and 1; the
     # control then names 0, so the step probes both values through the
@@ -113,6 +124,23 @@ def test_theta_from_br_resumes_through_a_staged_restart():
     assert theta_from_br(params, u) == theta(params, u)
 
 
+def test_stage_read_back_and_lengths():
+    rng = random.Random(7)
+    for _ in range(100):
+        control, u = gen.gen_thread_input(rng)
+        params = replace(gen.gen_sbr_instance(rng)[0], control=control)
+        stages = carrier_stages(params, u)
+        assert len(stages) == len(u) + 1
+        thread = EMPTY
+        for i in range(len(u)):
+            assert diag_finite(stages[i]) == \
+                thread_of_partial(control, u, i, 0)
+            n_i = control(extend_hat(thread, 0))
+            thread = thread.update(n_i, u(n_i))
+            assert len(stages[i + 1]) == n_i + 1
+        assert diag_finite(stages[len(u)]) == u
+
+
 def test_sbr_from_br_trivial_stop():
     params = RecursorParams(step=lambda u, n, p: 99, body=lambda v: ("b", v),
                             control=lambda a: 0, default=0, default_result=0)
@@ -125,6 +153,13 @@ def test_sbr_from_br_two_updates():
                             control=lambda a: a(0) % 2, default=0,
                             default_result=0)
     assert sbr_from_br(params, EMPTY) == 2
+
+
+def test_sbr_from_br_differential():
+    rng = random.Random(8)
+    for _ in range(200):
+        params, u = gen.gen_sbr_instance(rng)
+        assert sbr_from_br(params, u) == sbr(params, u)
 
 
 def _checked_lift(params):
@@ -151,3 +186,18 @@ def test_br_from_sbr_oracle(rng):
     params, s = gen.gen_br_instance(rng)
     with mock.patch.object(interdef, "_lift_sequential", _checked_lift):
         assert br_from_sbr(params, s) == br(params, s)
+
+
+@oracle
+@given(st.randoms(use_true_random=False))
+def test_sbr_from_br_oracle(rng):
+    params, u = gen.gen_sbr_instance(rng)
+    assert sbr_from_br(params, u) == sbr(params, u)
+
+
+@oracle
+@given(st.randoms(use_true_random=False))
+def test_theta_from_br_oracle(rng):
+    control, u = gen.gen_thread_input(rng)
+    params = replace(gen.gen_sbr_instance(rng)[0], control=control)
+    assert theta_from_br(params, u) == theta(params, u)

@@ -1,6 +1,7 @@
 """Laws of the finite carriers and canonical extensions."""
 
 import functools
+import gc
 import json
 import sys
 
@@ -206,18 +207,24 @@ def test_infseq_equality_and_hash_are_identity():
 
 def _python_calls(read, points):
     """The values ``read`` gives at ``points``, and the names of the Python
-    functions that ran while it did."""
+    functions that ran while it did.  The collector is off meanwhile: a
+    collection would run the Python ``gc.callbacks`` Hypothesis installs,
+    which are no part of the read."""
     calls = []
 
     def profile(frame, event, arg):
         if event == "call":
             calls.append(frame.f_code.co_name)
 
+    enabled = gc.isenabled()
+    gc.disable()
     sys.setprofile(profile)
     try:
         values = list(map(read, points))
     finally:
         sys.setprofile(None)
+        if enabled:
+            gc.enable()
     return values, calls
 
 

@@ -10,6 +10,7 @@ from barrec import gen, interdef
 from barrec.context import EvalContext, FuelExhausted
 from barrec.pfun import EMPTY, EMPTY_SEQ, FiniteSeq, PartialFn, extend_hat
 from barrec.recursors import RecursorParams, br, sbr, sbr_discrete, theta
+from barrec.threads import sspec_witness
 
 
 def test_br_immediate_stop():
@@ -68,6 +69,14 @@ def test_theta_clauses():
         sbr(params, PartialFn.single(0, 3))
 
 
+def test_theta_equals_sbr_on_generated_threads():
+    rng = random.Random(21)
+    for _ in range(100):
+        control, u = gen.gen_thread_input(rng)
+        params = replace(gen.gen_sbr_instance(rng)[0], control=control)
+        assert theta(params, u) == sbr(params, u)
+
+
 def test_counters_deterministic_and_modes_agree():
     rng = random.Random(8)
     for _ in range(50):
@@ -92,6 +101,20 @@ def test_domain_growth_monotone():
                             control=lambda a: a(0) + a(1) + a(2), default=0)
     sbr(params, EMPTY)
     assert seen == sorted(seen)
+
+
+def test_witness_bounds_depth_along_fixed_sequence():
+    rng = random.Random(12)
+    for _ in range(50):
+        control = gen.gen_control(rng)
+        alpha = gen.gen_alpha(rng)
+        params = RecursorParams(
+            step=lambda v, n, p: p(alpha(n)),
+            body=lambda v: len(v), control=control, default=0)
+        ctx = EvalContext()
+        depth = sbr(params, EMPTY, ctx)
+        assert depth == sspec_witness(control, alpha, 0)
+        assert ctx.max_domain == depth
 
 
 def test_bar_depth_bounded_by_stopping_point():
