@@ -295,12 +295,18 @@ def _cells(count, law) -> Iterator[tuple]:
 
 def _suite(name, default_cases, loops):
     """The suite ``name``: ``loops(rng, cases)`` yields ``(label,
-    checks)`` pairs, which run in order on one generator."""
+    checks)`` pairs, which run in order on one generator.  A law that
+    raises counts as one failure, and the suite goes on with the next
+    pair."""
     def suite(seed: int = 0, cases: int = default_cases) -> SuiteResult:
         res = SuiteResult(name)
         for label, checks in loops(random.Random(seed), cases):
-            for ok, describe in checks:
-                res.check(ok, "%s: %s" % (label, describe))
+            try:
+                for ok, describe in checks:
+                    res.check(ok, "%s: %s" % (label, describe))
+            except Exception as exc:
+                res.check(False, "%s: raised %s: %s"
+                          % (label, type(exc).__name__, exc))
         return res
 
     return suite

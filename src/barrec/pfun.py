@@ -217,10 +217,6 @@ class PartialFn:
                 raise ValueError("duplicate index %r" % (a[0],))
         self.entries = entries
 
-    @classmethod
-    def single(cls, n: Any, x: Any) -> "PartialFn":
-        return cls(((n, x),))
-
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -245,9 +241,6 @@ class PartialFn:
         if i < len(entries) and entries[i][0] == n:
             return entries[i][1]
         raise KeyError(n)
-
-    def domain(self) -> tuple:
-        return tuple(n for n, _ in self.entries)
 
     def update(self, n: Any, x: Any) -> "PartialFn":
         """The update ``u (+) (n, x)``: extend at ``n`` unless ``n`` is

@@ -46,7 +46,7 @@ def test_criterion_2_example2_exact_outputs():
     v = psi_symmetric(cp, EMPTY, EvalContext())
     expected_sym = {0: [1, 2, 2, 2], 1: [1, 1, 2, 2], 2: [1, 1, 1, 2],
                     3: [1, 1, 1, 1]}
-    ok = v.domain() == (0, 1, 2, 3)
+    ok = [n for n, _ in v.entries] == [0, 1, 2, 3]
     for idx, prefix in expected_sym.items():
         ok &= v(idx).prefix(4) == prefix and v(idx)(9) == 1
     t = phi_spector(cp, EMPTY_SEQ, EvalContext())

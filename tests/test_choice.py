@@ -35,7 +35,7 @@ def test_phi_stops_on_hit_bar():
 
 def test_psi_stops_on_defined_control():
     cp = constant_control_params()
-    u = PartialFn.single(0, 5)
+    u = PartialFn([(0, 5)])
     assert psi_symmetric(cp, u, EvalContext()) == u
     assert sbr_from_br(symmetric_params(cp), u) == u
 
@@ -49,7 +49,7 @@ def test_solve_with_constant_control():
 
     sym = solve_symmetric(cp, EvalContext())
     assert sym.n == 0
-    assert sym.witness.domain() == (0,)
+    assert [n for n, _ in sym.witness.entries] == [0]
     assert verify_equations(sym, cp)
 
 

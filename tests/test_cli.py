@@ -310,6 +310,24 @@ def test_check_cases_bounds_the_builtin_and_staged_loops(capsys):
         assert 0 < counts[name][0] <= most and counts[name][1] == 0, name
 
 
+def test_check_counts_a_law_that_raises_as_one_failure(monkeypatch, capsys):
+    def raising(rng):
+        yield True, "passes"
+        raise ZeroDivisionError("no solution")
+
+    monkeypatch.setattr(checks, "choice_law", raising)
+    rc, out = run_main(["check", "--suite", "threads", "--suite", "spector",
+                        "--cases", "3"], capsys)
+    assert rc == 4
+    lines = out.splitlines()
+    assert lines[0].split()[0] == "threads" and lines[0].endswith("failed=0")
+    # Each case passes once and raises once; each built-in cell passes
+    # twice.
+    assert lines[1].split() == ["spector", "passed=9", "failed=3"]
+    assert lines[2:] == ["  FAIL: case %d: raised ZeroDivisionError: no "
+                         "solution" % k for k in range(3)]
+
+
 def test_thread_subcommand_json(capsys):
     rc, out = run_main(["thread", "--h", "g(0)", "--u", '{"0": 3}',
                         "--steps", "4", "--format", "json"], capsys)

@@ -4,25 +4,17 @@ import random
 from dataclasses import replace
 from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from barrec import context, gen, interdef
+from barrec import checks, gen, interdef
 from barrec.interdef import (YPair, br_from_sbr, carrier_stages, diag_finite,
                              diag_infinite, sbr_from_br, theta_from_br,
                              _embed_seq, _lift_sequential, _unembed)
 from barrec.pfun import EMPTY, EMPTY_SEQ, FiniteSeq, InfSeq, PartialFn, \
     extend_hat
 from barrec.recursors import RecursorParams, br, sbr, theta
-from barrec.threads import thread_of_partial
-
-# The engines raise the recursion limit on first use; raising it here
-# keeps a Hypothesis test from seeing it change while it runs.
-context.ensure_stack()
-
-# Seeded, shrinking oracles: a failing instance is reduced to a small one.
-oracle = settings(max_examples=200, deadline=None, derandomize=True,
-                  database=None)
+from conftest import failures, oracle
 
 
 def zero_cont(_v, _x):
@@ -62,18 +54,18 @@ def test_br_from_sbr_one_unfold():
 
 def test_diag_finite_examples():
     assert diag_finite(EMPTY_SEQ) == EMPTY
-    s = FiniteSeq((YPair(PartialFn.single(0, "a"), zero_cont),
+    s = FiniteSeq((YPair(PartialFn([(0, "a")]), zero_cont),
                    YPair(PartialFn(((0, "b"), (1, "c"))), zero_cont)))
     assert diag_finite(s) == PartialFn(((0, "a"), (1, "c")))
-    only = FiniteSeq((YPair(PartialFn.single(5, "a"), zero_cont),))
-    assert diag_finite(only) == PartialFn.single(5, "a")
+    only = FiniteSeq((YPair(PartialFn([(5, "a")]), zero_cont),))
+    assert diag_finite(only) == PartialFn([(5, "a")])
 
 
 def test_diag_infinite_examples():
     empty_slot = YPair(EMPTY, zero_cont)
     assert diag_infinite(InfSeq.constant(empty_slot), 0).prefix(4) == \
         [0, 0, 0, 0]
-    first = YPair(PartialFn.single(0, 7), zero_cont)
+    first = YPair(PartialFn([(0, 7)]), zero_cont)
     alpha = InfSeq(lambda i: first if i == 0 else empty_slot)
     assert diag_infinite(alpha, 0).prefix(3) == [7, 0, 0]
 
@@ -96,15 +88,13 @@ def test_theta_from_br_nonthread_returns_zero_result():
     params = RecursorParams(step=lambda u, n, p: p(1), body=lambda v: len(v),
                             control=lambda a: 0, default=0,
                             default_result=-3)
-    assert theta_from_br(params, PartialFn.single(5, 1)) == -3
+    assert theta_from_br(params, PartialFn([(5, 1)])) == -3
 
 
 def test_theta_from_br_differential_on_threads():
     rng = random.Random(5)
     for _ in range(100):
-        control, u = gen.gen_thread_input(rng)
-        params = replace(gen.gen_sbr_instance(rng)[0], control=control)
-        assert theta_from_br(params, u) == theta(params, u)
+        assert failures(checks.staged_law(rng)) == []
     params, _ = gen.gen_sbr_instance(random.Random(6))
     assert theta_from_br(params, EMPTY) == theta(params, EMPTY)
 
@@ -117,34 +107,54 @@ def test_theta_from_br_resumes_through_a_staged_restart():
                             body=lambda v: sum(x for _, x in v.entries),
                             control=lambda a: 0 if a(2) > 0 else 2,
                             default=0, default_result=-1)
-    u = PartialFn.single(2, 5)
+    u = PartialFn([(2, 5)])
     stages = carrier_stages(params, u)
     assert len(stages[-1]) == 3
     assert theta(params, u) == 6 + 10 * 7
     assert theta_from_br(params, u) == theta(params, u)
 
 
+def _names_in_order(order):
+    """A control naming the first index of ``order`` that its argument
+    reads as zero, and ``order[0]`` where it reads none as zero."""
+    def control(alpha):
+        return next((n for n in order if alpha(n) == 0), order[0])
+
+    return control
+
+
+@oracle(100)
+@given(st.permutations(range(6)), st.integers(1, 5),
+       st.lists(st.integers(1, 5), min_size=5, max_size=5),
+       st.randoms(use_true_random=False))
+def test_theta_from_br_resumes_through_staged_restarts(order, j, values, rng):
+    # The thread fills the first ``j`` indices of ``order`` with nonzero
+    # values, so its stages pad every index below the last one it names.
+    # The control then names ``order[j]``; ordering it below ``order[j-1]``
+    # puts it on a padding slot, through whose restart the step resumes.
+    order = list(order)
+    if order[j] > order[j - 1]:
+        order[j - 1], order[j] = order[j], order[j - 1]
+    params = replace(gen.gen_sbr_instance(rng)[0],
+                     control=_names_in_order(order))
+    u = PartialFn(zip(order[:j], values))
+    with mock.patch.object(interdef, "br", wraps=br) as entries:
+        got = theta_from_br(params, u)
+    assert got == theta(params, u)
+    # One entry runs the staged thread; each further one is a restart.
+    assert entries.call_count > 1
+
+
 def test_stage_read_back_and_lengths():
     rng = random.Random(7)
     for _ in range(100):
-        control, u = gen.gen_thread_input(rng)
-        params = replace(gen.gen_sbr_instance(rng)[0], control=control)
-        stages = carrier_stages(params, u)
-        assert len(stages) == len(u) + 1
-        thread = EMPTY
-        for i in range(len(u)):
-            assert diag_finite(stages[i]) == \
-                thread_of_partial(control, u, i, 0)
-            n_i = control(extend_hat(thread, 0))
-            thread = thread.update(n_i, u(n_i))
-            assert len(stages[i + 1]) == n_i + 1
-        assert diag_finite(stages[len(u)]) == u
+        assert failures(checks.staged_law(rng)) == []
 
 
 def test_sbr_from_br_trivial_stop():
     params = RecursorParams(step=lambda u, n, p: 99, body=lambda v: ("b", v),
                             control=lambda a: 0, default=0, default_result=0)
-    u = PartialFn.single(0, 5)
+    u = PartialFn([(0, 5)])
     assert sbr_from_br(params, u) == sbr(params, u) == ("b", u)
 
 
@@ -158,8 +168,7 @@ def test_sbr_from_br_two_updates():
 def test_sbr_from_br_differential():
     rng = random.Random(8)
     for _ in range(200):
-        params, u = gen.gen_sbr_instance(rng)
-        assert sbr_from_br(params, u) == sbr(params, u)
+        assert failures(checks.sbr_from_br_law(rng)) == []
 
 
 def _checked_lift(params):
@@ -169,35 +178,31 @@ def _checked_lift(params):
     lifted = _lift_sequential(params)
 
     def body(u):
-        assert u.domain() == tuple(range(len(u))), u
+        assert [i for i, _ in u.entries] == list(range(len(u))), u
         return lifted.body(u)
 
     def step(u, n, p):
-        assert u.domain() == tuple(range(len(u))), u
+        assert [i for i, _ in u.entries] == list(range(len(u))), u
         assert n == len(u), (u, n)
         return lifted.step(u, n, p)
 
     return replace(lifted, step=step, body=body)
 
 
-@oracle
+@oracle(200)
 @given(st.randoms(use_true_random=False))
 def test_br_from_sbr_oracle(rng):
-    params, s = gen.gen_br_instance(rng)
     with mock.patch.object(interdef, "_lift_sequential", _checked_lift):
-        assert br_from_sbr(params, s) == br(params, s)
+        assert failures(checks.br_from_sbr_law(rng)) == []
 
 
-@oracle
+@oracle(200)
 @given(st.randoms(use_true_random=False))
 def test_sbr_from_br_oracle(rng):
-    params, u = gen.gen_sbr_instance(rng)
-    assert sbr_from_br(params, u) == sbr(params, u)
+    assert failures(checks.sbr_from_br_law(rng)) == []
 
 
-@oracle
+@oracle(200)
 @given(st.randoms(use_true_random=False))
 def test_theta_from_br_oracle(rng):
-    control, u = gen.gen_thread_input(rng)
-    params = replace(gen.gen_sbr_instance(rng)[0], control=control)
-    assert theta_from_br(params, u) == theta(params, u)
+    assert failures(checks.staged_law(rng)) == []

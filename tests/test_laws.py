@@ -9,28 +9,16 @@ to a small one.
 import inspect
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from barrec import checks, context
+from barrec import checks
 from barrec.noinjection import FAMILIES
-
-# The engines raise the recursion limit on first use; raising it here
-# keeps a Hypothesis test from seeing it change while it runs.
-context.ensure_stack()
+from conftest import failures, oracle
 
 RNG_LAWS = [fn for fn in vars(checks).values()
             if inspect.isfunction(fn) and fn.__module__ == checks.__name__
             and list(inspect.signature(fn).parameters) == ["rng"]]
-
-
-def oracle(examples):
-    return settings(max_examples=examples, deadline=None, derandomize=True,
-                    database=None)
-
-
-def failures(law_checks):
-    return [describe for ok, describe in law_checks if not ok]
 
 
 @pytest.mark.parametrize("law", RNG_LAWS, ids=lambda law: law.__name__)

@@ -64,7 +64,7 @@ def test_choice_params_pieces():
 def test_symmetric_carrier_prod():
     cp = make_choice_params(builtin_h("prod", 4))
     v = psi_symmetric(cp, EMPTY, EvalContext())
-    assert v.domain() == (16,)
+    assert [n for n, _ in v.entries] == [16]
     assert v(16).prefix(3) == [1, 1, 1]
 
 
@@ -75,7 +75,7 @@ def test_generic_engine_formulation_on_prod():
     v = sbr_from_br(symmetric_params(cp), EMPTY, EvalContext())
     w = psi_symmetric(cp, EMPTY, EvalContext())
     # Function-valued carriers agree extensionally (value objects differ).
-    assert v.domain() == w.domain() == (16,)
+    assert [n for n, _ in v.entries] == [n for n, _ in w.entries] == [16]
     assert v(16).prefix(4) == w(16).prefix(4) == [1, 1, 1, 1]
 
 
@@ -160,7 +160,7 @@ def _reads_below_top(carrier):
     if isinstance(carrier, FiniteSeq):
         top = len(carrier)
     else:
-        top = max(carrier.domain(), default=-1) + 1
+        top = max((n for n, _ in carrier.entries), default=-1) + 1
     return range(-1, top + 3)
 
 
@@ -211,7 +211,7 @@ def test_other_sequences_take_the_plain_diagonal():
     assert cp.q(zero_family).prefix(4) == [1, 1, 1, 1]
     # A carrier extended by another default reads that default's diagonal.
     three = InfSeq(lambda i: 3 + i)
-    for carrier in (FiniteSeq((cp.default,)), PartialFn.single(0, cp.default)):
+    for carrier in (FiniteSeq((cp.default,)), PartialFn([(0, cp.default)])):
         f = extend_hat(carrier, three)
         assert cp.q(f).prefix(4) == _diagonal(f).prefix(4) == [1, 5, 6, 7]
 

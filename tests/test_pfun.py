@@ -21,11 +21,11 @@ seqs = st.lists(values, max_size=8).map(FiniteSeq)
 
 
 def test_update_empty():
-    assert PartialFn().update(3, 7) == PartialFn.single(3, 7)
+    assert PartialFn().update(3, 7) == PartialFn([(3, 7)])
 
 
 def test_update_keeps_existing_value():
-    u = PartialFn.single(1, "a")
+    u = PartialFn([(1, "a")])
     assert u.update(1, "b") == u
 
 
@@ -47,7 +47,7 @@ def test_merge_left_identity():
 
 
 def test_merge_left_priority():
-    u = PartialFn.single(0, "a")
+    u = PartialFn([(0, "a")])
     v = PartialFn(((0, "b"), (1, "c")))
     assert u.merge(v) == PartialFn(((0, "a"), (1, "c")))
 
@@ -86,13 +86,13 @@ def test_leq_transitive(u, v, w):
 
 
 def test_leq_examples():
-    assert PartialFn.single(1, 1).leq(PartialFn(((1, 1), (2, 2))))
-    assert not PartialFn.single(1, 1).leq(PartialFn.single(1, 2))
+    assert PartialFn([(1, 1)]).leq(PartialFn(((1, 1), (2, 2))))
+    assert not PartialFn([(1, 1)]).leq(PartialFn([(1, 2)]))
 
 
 def test_extend_hat_examples():
     assert extend_hat(EMPTY, 0).prefix(4) == [0, 0, 0, 0]
-    assert extend_hat(PartialFn.single(2, 5), 0).prefix(4) == [0, 0, 5, 0]
+    assert extend_hat(PartialFn([(2, 5)]), 0).prefix(4) == [0, 0, 5, 0]
     hat = extend_hat(FiniteSeq((4, 4)), 0)
     assert [hat(1), hat(2)] == [4, 0]
 

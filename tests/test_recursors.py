@@ -6,11 +6,11 @@ from dataclasses import replace
 
 import pytest
 
-from barrec import gen, interdef
+from barrec import checks, gen, interdef
 from barrec.context import EvalContext, FuelExhausted
 from barrec.pfun import EMPTY, EMPTY_SEQ, FiniteSeq, PartialFn, extend_hat
 from barrec.recursors import RecursorParams, br, sbr, sbr_discrete, theta
-from barrec.threads import sspec_witness
+from conftest import failures
 
 
 def test_br_immediate_stop():
@@ -38,7 +38,7 @@ def test_sbr_immediate_stop():
     params = RecursorParams(step=lambda u, n, p: 99, body=lambda v: v,
                             control=lambda a: 0, default=0)
     ctx = EvalContext()
-    u = PartialFn.single(0, 5)
+    u = PartialFn([(0, 5)])
     assert sbr(params, u, ctx) == u
     assert ctx.calls == 1
 
@@ -63,18 +63,16 @@ def test_theta_clauses():
                             default_result=-1)
     # Index 5 is not reachable from the constant-0 control, so the input
     # is not a thread.
-    assert theta(params, PartialFn.single(5, 3)) == -1
+    assert theta(params, PartialFn([(5, 3)])) == -1
     assert theta(params, EMPTY) == sbr(params, EMPTY)
-    assert theta(params, PartialFn.single(0, 3)) == \
-        sbr(params, PartialFn.single(0, 3))
+    assert theta(params, PartialFn([(0, 3)])) == \
+        sbr(params, PartialFn([(0, 3)]))
 
 
 def test_theta_equals_sbr_on_generated_threads():
     rng = random.Random(21)
     for _ in range(100):
-        control, u = gen.gen_thread_input(rng)
-        params = replace(gen.gen_sbr_instance(rng)[0], control=control)
-        assert theta(params, u) == sbr(params, u)
+        assert failures(checks.theta_laws(rng)) == []
 
 
 def test_counters_deterministic_and_modes_agree():
@@ -106,15 +104,7 @@ def test_domain_growth_monotone():
 def test_witness_bounds_depth_along_fixed_sequence():
     rng = random.Random(12)
     for _ in range(50):
-        control = gen.gen_control(rng)
-        alpha = gen.gen_alpha(rng)
-        params = RecursorParams(
-            step=lambda v, n, p: p(alpha(n)),
-            body=lambda v: len(v), control=control, default=0)
-        ctx = EvalContext()
-        depth = sbr(params, EMPTY, ctx)
-        assert depth == sspec_witness(control, alpha, 0)
-        assert ctx.max_domain == depth
+        assert failures(checks.theta_laws(rng)) == []
 
 
 def test_bar_depth_bounded_by_stopping_point():
@@ -199,10 +189,10 @@ def test_sbr_discrete_booleans():
     params = RecursorParams(step=lambda u, n, p: p("x"),
                             body=lambda v: ("stopped", v),
                             control=lambda a: False, default="z")
-    u = PartialFn.single(False, "y")
+    u = PartialFn([(False, "y")])
     assert sbr(params, u) == ("stopped", u)
     assert sbr(params, EMPTY) == \
-        ("stopped", PartialFn.single(False, "x"))
+        ("stopped", PartialFn([(False, "x")]))
 
 
 def test_sbr_discrete_agrees_with_sbr_on_naturals():
