@@ -22,6 +22,14 @@ text or JSON.
 row with an ``error`` field and still exits 0.
 CSV and JSON output is byte-deterministic for a fixed configuration
 except for the ``wall_ms`` field.
+JSON keeps ``json.dumps(indent=2)``'s layout byte for byte, but json's C
+encoder writes it on every supported Python (``_json_text``): on
+CPython 3.11 and 3.12 ``indent`` sends ``json.dumps`` to json's
+pure-Python encoder, and printing the prefixes of a large collision cost
+more than finding it.  On 3.11 the two ``prodpow:5`` symmetric rows now
+format in 6.1 ms instead of 27.2, with a tracemalloc peak of 2.9 times
+the output instead of 8.4, and the benchmark's ``sym-demand`` peak RSS
+fell from 26.0 to 24.0 MB (``BENCH_29.json``).
 """
 
 from __future__ import annotations
@@ -125,8 +133,48 @@ def _csv_cell(value):
     return value
 
 
-def _rows_to_json(rows: list) -> str:
-    return json.dumps(rows, indent=2) + "\n"
+_SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
+
+
+def _json_text(obj) -> str:
+    """``json.dumps(obj, indent=2) + "\\n"``, byte for byte, written by
+    json's C encoder.
+
+    Dict keys must be ``str``: a dict that holds containers has its keys
+    encoded here, as strings."""
+    pieces = []
+    _json_pieces(obj, "\n", pieces)
+    pieces.append("\n")
+    return "".join(pieces)
+
+
+def _json_pieces(obj, newline: str, pieces: list) -> None:
+    """Appends ``obj``'s JSON text to ``pieces``, laid out as ``indent=2``
+    lays it out; ``newline`` is a line break plus the indent of the line
+    that ``obj`` ends on.
+
+    A container whose members are all scalars is one C encoder call
+    whose item separator carries the newline and indent; around a
+    container that holds containers, this lays out the members."""
+    is_dict = isinstance(obj, dict)
+    if not (is_dict or isinstance(obj, (list, tuple))) or not obj:
+        pieces.append(json.dumps(obj))
+        return
+    members = obj.values() if is_dict else obj
+    opening, closing = "{}" if is_dict else "[]"
+    inner = newline + "  "
+    if set(map(type, members)) <= _SCALAR_TYPES:
+        text = json.dumps(obj, separators=("," + inner, ": "))
+        pieces += (opening, inner, text[1:-1], newline, closing)
+        return
+    keys = ([json.dumps(key) + ": " for key in obj] if is_dict
+            else ("",) * len(obj))
+    separator = opening + inner
+    for key, value in zip(keys, members):
+        pieces += (separator, key)
+        _json_pieces(value, inner, pieces)
+        separator = "," + inner
+    pieces += (newline, closing)
 
 
 def _run_cell(h, family, n, recursor, ctx) -> dict:
@@ -165,7 +213,7 @@ def _format_rows(rows: list, fmt: str) -> str:
     if fmt == "csv":
         return _rows_to_csv(rows)
     if fmt == "json":
-        return _rows_to_json(rows)
+        return _json_text(rows)
     lines = []
     for row in rows:
         lines.append(
@@ -280,7 +328,7 @@ def cmd_thread(args) -> int:
     trace = trace_thread(control, source, steps, args.default,
                          EvalContext(fuel=_fuel(args)))
     if args.format == "json":
-        _emit(json.dumps(trace.to_json(), indent=2) + "\n", args.output)
+        _emit(_json_text(trace.to_json()), args.output)
         return EXIT_OK
     lines = []
     for k, step in enumerate(trace.steps):
@@ -306,7 +354,7 @@ def cmd_interdef_test(args) -> int:
     report = {"seed": args.seed, "cases": args.cases,
               "passed": len(results) - failed, "failed": failed,
               "results": results}
-    _emit(json.dumps(report, indent=2) + "\n", args.output)
+    _emit(_json_text(report), args.output)
     return EXIT_OK if failed == 0 else EXIT_INVALID
 
 
