@@ -8,8 +8,9 @@ differential suite.
 
 Exit codes: 0 success, 2 malformed input (a DSL syntax error, a DSL term
 nested too deeply, a bad argument value, a ``BARREC_FUEL`` that is not a
-non-negative integer where no ``--fuel`` overrides it, or an unwritable
-``--output``),
+non-negative integer where no ``--fuel`` overrides it, an unwritable
+``--output``, or a ``thread`` whose control names an index of more
+digits than the interpreter prints, ``sys.get_int_max_str_digits()``),
 3 fuel exhausted, 4 failed verification, 5 recursion too deep (the
 sequential solver recurses once per carrier slot, so a control with
 values in the thousands outgrows the interpreter's recursion limit).
@@ -327,9 +328,19 @@ def cmd_thread(args) -> int:
     source = extend_hat(u, args.default) if args.total else u
     trace = trace_thread(control, source, steps, args.default,
                          EvalContext(fuel=_fuel(args)))
-    if args.format == "json":
-        _emit(_json_text(trace.to_json()), args.output)
-        return EXIT_OK
+    try:
+        text = (_json_text(trace.to_json()) if args.format == "json"
+                else _thread_text(trace))
+    except ValueError:
+        # An int longer than the interpreter writes in decimal.
+        raise UsageError("the control named an index of more than %d "
+                         "digits, too long to print"
+                         % sys.get_int_max_str_digits()) from None
+    _emit(text, args.output)
+    return EXIT_OK
+
+
+def _thread_text(trace) -> str:
     lines = []
     for k, step in enumerate(trace.steps):
         if step.defined:
@@ -339,8 +350,7 @@ def cmd_thread(args) -> int:
             lines.append("step %d: index %s undefined, stabilised"
                          % (k, step.n))
     lines.append("final: %s" % (trace.final.to_json(),))
-    _emit("\n".join(lines) + "\n", args.output)
-    return EXIT_OK
+    return "\n".join(lines) + "\n"
 
 
 def cmd_interdef_test(args) -> int:

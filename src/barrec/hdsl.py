@@ -35,12 +35,14 @@ So evaluating a term walks no syntax tree, and a term with no binder but
 at its root runs in one frame, as the ``prod`` and ``leastinc``
 renderings of the case study do.  What costs frames is a read of
 ``gamma``, which runs the sequence's own function, a binder anywhere but
-at the root, which costs a call each time it runs, and an operand nested
-too deep for one line (see ``_MAX_NESTING``) that runs after another
-operand or only on some paths, which becomes a call as well.  Compiling
-is the price: 0.2-0.3 ms per small term on CPython 3.11, several times
-what building a closure per syntax node costs, which a solve's thousands
-of evaluations repay.
+at the root, which costs a call each time it runs, and an expression too
+deep for one line (see ``_MAX_NESTING``), which becomes a call of a
+function that returns it.  A chain of operators or of ``and``/``or``
+too long for one line costs one call however long it is: its function
+keeps the value so far in temporaries.  Compiling is the price: 0.2-0.3
+ms per small term on CPython 3.11, several times what building a
+closure per syntax node costs, which a solve's thousands of evaluations
+repay.
 """
 
 from __future__ import annotations
@@ -179,7 +181,7 @@ _ATOM_HEADS = ("NAT", "IDENT", "g", "(") + _GREEDY_HEADS
 # construct is a parenthesised ``if`` in the condition of the next, eleven
 # parser frames for its two levels, so a term at the bound parses within
 # the default recursion limit of 1,000.  Emitting a term's source takes
-# at most six frames per level, for a ``g(1 - g(...))`` nest, and printing
+# at most four frames per level, for a ``g(1 - g(...))`` nest, and printing
 # it fewer than parsing; the compiled term runs in one frame, plus one per
 # generated function it calls.
 MAX_DEPTH = 100
@@ -361,22 +363,27 @@ _ARITH = {"+": ("%s + %s", 5, 5, 6, 1),
           "-": ("(0 if (_d := %s - %s) < 0 else _d)", _ATOM, 5, 6, 3),
           "*": ("%s * %s", 6, 6, 7, 1),
           "^": ("%s ** %s", 7, _ATOM, 7, 1)}
+# ``and`` and ``or`` in the same form: with the operators, the links of a
+# chain (see ``_Emitter.chain``).
+_LINKS = {**_ARITH, "and": ("%s and %s", 2, 2, 3, 1),
+          "or": ("%s or %s", 1, 1, 2, 1)}
 _CMP = {"<": "<", "<=": "<=", "=": "==", "!=": "!="}
 ARITH_OPS = tuple(_ARITH)
 CMP_OPS = tuple(_CMP)
 # The unit and operator of each fold.
 _FOLD = {"prod": ("1", "*"), "sum": ("0", "+")}
 
-# The deepest an expression nests before it is bound to a temporary.  A
-# level is a pair of parentheses or a node of Python's syntax tree: each
-# call, operator, comparison, connective and ``if`` nests its operands one
-# level below it, in parentheses or not, and a subtraction nests them
-# three, its two pairs of parentheses and one more an operand may need.
-# So no line opens more than ``_MAX_NESTING + 3`` parentheses, well within
-# the 200 CPython's tokenizer allows, no line's syntax tree is deeper than
-# its compiler takes, a chain of any length compiles in chunks, and an
-# ``if`` chain as deep as ``parse`` accepts, one level per ``if``, stays
-# one expression.
+# The deepest an expression nests before it becomes a call of a function
+# that returns it, or, inside a chain, before the chain's value so far
+# goes to a temporary.  A level is a pair of parentheses or a node of
+# Python's syntax tree: each call, operator, comparison, connective and
+# ``if`` nests its operands one level below it, in parentheses or not, and
+# a subtraction nests them three, its two pairs of parentheses and one
+# more an operand may need.  So no line opens more than
+# ``_MAX_NESTING + 3`` parentheses, well within the 200 CPython's
+# tokenizer allows, no line's syntax tree is deeper than its compiler
+# takes, a chain of any length compiles in chunks, and an ``if`` chain as
+# deep as ``parse`` accepts, one level per ``if``, stays one expression.
 _MAX_NESTING = 120
 
 
@@ -401,14 +408,15 @@ class _Emitter:
     in scope.  Each binder is the body of a function of its own, a ``for``
     loop that ``least`` and ``greatest`` return from, so a function holds
     at most one loop.  Each expression is returned as its source, its
-    precedence and how deep it nests; the temporaries it needs go first to
-    ``lines``, the body being emitted.  Only an operand evaluated first
-    may need them: one evaluated after another operand, or only on some
-    paths, becomes a call of a function of its own if it does, so the
-    points of ``gamma`` are read in the term's order and only when the
-    term reads them.  Every name in the source is generated: ``_g`` for
-    the argument sequence, ``_r`` for ``range``, ``_d`` for a difference
-    (see ``_ARITH``) and ``_`` plus a letter and a counter for functions
+    precedence and how deep it nests, and no statement is ever emitted
+    ahead of it: an expression too deep for one line becomes a call of a
+    function that returns it, which runs where the expression would, so
+    the points of ``gamma`` are read in the term's order and only when the
+    term reads them.  The only assignments are a fold's accumulator and
+    the temporaries of a chain too long for one line (see ``chain``).
+    Every name in the source is generated: ``_g`` for the argument
+    sequence, ``_r`` for ``range``, ``_d`` for a difference (see
+    ``_ARITH``) and ``_`` plus a letter and a counter for functions
     (``f``), variables (``v``), temporaries (``t``) and numerals too large
     to print (``k``).  So no text of the term reaches the source except
     numerals."""
@@ -417,7 +425,6 @@ class _Emitter:
         self.defs = []
         self.consts = {"_r": range}
         self.count = 0
-        self.lines = []
 
     def fresh(self, kind: str) -> str:
         self.count += 1
@@ -439,38 +446,20 @@ class _Emitter:
 
     def body(self, e, scope: dict) -> list:
         """The body of a function that returns the value of ``e``: a
-        binder's loop, or the statements ``e`` needs and a ``return``."""
+        binder's loop, or one ``return``."""
         if isinstance(e, Fold):
             return self.fold(e, scope)
         if isinstance(e, Search):
             return self.search(e, scope)
-        lines, value = self.apart(e, scope)
-        return lines + ["return " + value[0]]
+        return ["return " + self.expr(e, scope)[0]]
 
-    def apart(self, e, scope: dict) -> tuple:
-        """The statements ``e`` needs, kept apart, and its expression."""
-        outer, self.lines = self.lines, []
-        value = self.expr(e, scope)
-        lines, self.lines = self.lines, outer
-        return lines, value
-
-    def later(self, e, scope: dict) -> tuple:
-        """``e`` evaluated after another operand or only on some paths: a
-        call if it needs statements, which would run too early here."""
-        lines, value = self.apart(e, scope)
-        if lines:
-            return self.call(lines + ["return " + value[0]], scope)
-        return value
-
-    def nest(self, value: str, prec: int, levels: int,
+    def nest(self, scope: dict, value: str, prec: int, levels: int,
              *operands: tuple) -> tuple:
         """The expression ``value``, ``levels`` deeper than the deepest of
-        its ``operands``, bound to a temporary if that is too deep."""
+        its ``operands``, or a call that returns it if that is too deep."""
         depth = levels + max(x[2] for x in operands)
         if depth > _MAX_NESTING:
-            t = self.fresh("t")
-            self.lines.append("%s = %s" % (t, value))
-            return t, _ATOM, 0
+            return self.call(["return " + value], scope)
         return value, prec, depth
 
     def expr(self, e, scope: dict) -> tuple:
@@ -497,76 +486,71 @@ class _Emitter:
 
     def gamma(self, e: Gamma, scope: dict) -> tuple:
         arg = self.expr(e.arg, scope)
-        return self.nest("_g(%s)" % arg[0], _ATOM, 1, arg)
+        return self.nest(scope, "_g(%s)" % arg[0], _ATOM, 1, arg)
 
-    def binop(self, e: BinOp, scope: dict) -> tuple:
-        head, links = _spine(e, BinOp)
+    def chain(self, e, scope: dict) -> tuple:
+        """A left-nested chain of operators or of ``and``/``or``, emitted
+        in a loop; ``and`` and ``or`` read their right side only when the
+        value so far does not decide it.  Where a link would nest past
+        ``_MAX_NESTING``, the value so far goes to a temporary instead,
+        and a chain with temporaries is a call of a function that assigns
+        them in turn: a chain of any length runs in one frame."""
+        head, links = _spine(e, type(e))
         acc = self.expr(head, scope)
+        lines = []
         for link in links:
-            template, prec, left, right, levels = _ARITH[link.op]
-            b = self.later(link.right, scope)
-            acc = self.nest(template % (_wrap(acc, left), _wrap(b, right)),
-                            prec, levels, acc, b)
+            template, prec, left, right, levels = _LINKS[link.op]
+            b = self.expr(link.right, scope)
+            value = template % (_wrap(acc, left), _wrap(b, right))
+            acc = value, prec, levels + max(acc[2], b[2])
+            if acc[2] > _MAX_NESTING:
+                acc = self.fresh("t"), _ATOM, 0
+                lines.append("%s = %s" % (acc[0], value))
+        if lines:
+            return self.call(lines + ["return " + acc[0]], scope)
         return acc
 
     def fold(self, e: Fold, scope: dict) -> list:
         unit, op = _FOLD[e.op]
-        lines, bound = self.apart(e.bound, scope)
+        bound = self.expr(e.bound, scope)
         acc, var = self.fresh("t"), self.fresh("v")
-        body, value = self.apart(e.body, {**scope, e.var: var})
-        body.append("%s = %s %s %s" % (acc, acc, op,
-                                       _wrap(value, _ARITH[op][3])))
-        return lines + ["%s = %s" % (acc, unit),
-                        "for %s in _r(%s):" % (var, bound[0]),
-                        *("    " + line for line in body), "return " + acc]
+        value = self.expr(e.body, {**scope, e.var: var})
+        return ["%s = %s" % (acc, unit), "for %s in _r(%s):" % (var, bound[0]),
+                "    %s = %s %s %s" % (acc, acc, op,
+                                       _wrap(value, _ARITH[op][3])),
+                "return " + acc]
 
     def search(self, e: Search, scope: dict) -> list:
-        lines, bound = self.apart(e.bound, scope)
+        bound = self.expr(e.bound, scope)
         var = self.fresh("v")
-        body, cond = self.apart(e.cond, {**scope, e.var: var})
-        body += ["if %s:" % cond[0], "    return " + var]
+        cond = self.expr(e.cond, {**scope, e.var: var})
         if e.op == "least":
-            lines.append("for %s in _r(%s + 1):" % (var, _wrap(bound, 5)))
+            loop = "for %s in _r(%s + 1):" % (var, _wrap(bound, 5))
         else:
-            lines.append("for %s in _r(%s, -1, -1):" % (var, bound[0]))
-        orelse_lines, orelse = self.apart(e.orelse, scope)
-        return (lines + ["    " + line for line in body] + orelse_lines
-                + ["return " + orelse[0]])
+            loop = "for %s in _r(%s, -1, -1):" % (var, bound[0])
+        return [loop, "    if %s:" % cond[0], "        return " + var,
+                "return " + self.expr(e.orelse, scope)[0]]
 
     def if_(self, e: If, scope: dict) -> tuple:
         cond = self.expr(e.cond, scope)
-        then, orelse = self.later(e.then, scope), self.later(e.orelse, scope)
-        return self.nest("%s if %s else %s" % (
+        then, orelse = self.expr(e.then, scope), self.expr(e.orelse, scope)
+        return self.nest(scope, "%s if %s else %s" % (
             _wrap(then, 1), _wrap(cond, 1), orelse[0]), 0, 1,
             then, cond, orelse)
 
     def cmp(self, e: Cmp, scope: dict) -> tuple:
-        left, right = self.expr(e.left, scope), self.later(e.right, scope)
-        return self.nest("%s %s %s" % (_wrap(left, 5), _CMP[e.op],
-                                       _wrap(right, 5)), 4, 1, left, right)
+        left, right = self.expr(e.left, scope), self.expr(e.right, scope)
+        return self.nest(scope, "%s %s %s" % (
+            _wrap(left, 5), _CMP[e.op], _wrap(right, 5)), 4, 1, left, right)
 
     def not_(self, e: Not, scope: dict) -> tuple:
         cond = self.expr(e.cond, scope)
-        return self.nest("not %s" % _wrap(cond, 3), 3, 1, cond)
-
-    def conn(self, e: Conn, scope: dict) -> tuple:
-        """A left-nested chain: each link reads its right side only when
-        the value so far does not decide it, as Python's ``and`` and
-        ``or`` do."""
-        head, links = _spine(e, Conn)
-        acc = self.expr(head, scope)
-        for link in links:
-            prec = 2 if link.op == "and" else 1
-            right = self.later(link.right, scope)
-            acc = self.nest("%s %s %s" % (
-                _wrap(acc, prec), link.op, _wrap(right, prec + 1)),
-                prec, 1, acc, right)
-        return acc
+        return self.nest(scope, "not %s" % _wrap(cond, 3), 3, 1, cond)
 
 
 _EMIT = {Nat: _Emitter.nat, Var: _Emitter.var, Gamma: _Emitter.gamma,
-         BinOp: _Emitter.binop, If: _Emitter.if_, Cmp: _Emitter.cmp,
-         Not: _Emitter.not_, Conn: _Emitter.conn}
+         BinOp: _Emitter.chain, If: _Emitter.if_, Cmp: _Emitter.cmp,
+         Not: _Emitter.not_, Conn: _Emitter.chain}
 
 
 def _source(e: Expr) -> tuple:
@@ -638,7 +622,7 @@ def cond_to_text(c: Cond) -> str:
         return "%s %s %s" % (_operand(c.left, 0), c.op, _operand(c.right, 0))
     if isinstance(c, Conn):
         # Printed along the left spine without recursing on it, as
-        # ``_Emitter.conn`` emits it, so a chain's length costs no stack.
+        # ``_Emitter.chain`` emits it, so a chain's length costs no stack.
         head, links = _spine(c, Conn)
         if any(isinstance(link.right, (Conn, Not)) for link in links):
             raise ValueError("condition is not grammar-derivable: %r" % (c,))

@@ -261,6 +261,22 @@ def test_thread_non_integer_value_exit_2(value, capsys):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("extra", [
+    ["--steps", "1"], ["--steps", "1", "--format", "json"],
+    ["--total", "--steps", "2"],
+    ["--total", "--steps", "2", "--format", "json"],
+], ids=["text", "json", "total-text", "total-json"])
+def test_thread_index_too_long_to_print_exit_2(extra, capsys):
+    # The control names 10^5000, longer than str() converts.
+    rc = cli.main(["thread", "--h", "10 ^ 5000", *extra])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == ("error: the control named an index of more than "
+                            "%d digits, too long to print\n"
+                            % sys.get_int_max_str_digits())
+
+
 @pytest.mark.parametrize("argv", [
     ["thread", "--builtin", "prod:3", "--steps", "-4"],
     ["check", "--cases", "-3"],

@@ -101,6 +101,15 @@ def test_chains_cost_no_nesting():
         cond_term = "if %s or 1 < 0 then 1 else 0" % conds
         assert to_text(parse(cond_term)) == cond_term
         assert as_functional(parse(cond_term))(InfSeq.constant(0)) == 1
+        # A chain too long for one line keeps its value so far in
+        # temporaries, all in one frame: a frame per chunk of 40 or so
+        # subtractions would run past this limit.
+        diffs = as_functional(parse("20000 - " + " - ".join(["g(0)"] * 19999)))
+        ors = as_functional(parse("if %s then 1 else 0" % " or ".join(
+            "g(%d) < 1" % i for i in range(20000))))
+        sys.setrecursionlimit(300)
+        assert diffs(InfSeq.constant(1)) == 1
+        assert ors(InfSeq(lambda i: 0 if i == 19999 else 1)) == 1
     finally:
         sys.setrecursionlimit(limit)
 
@@ -489,8 +498,9 @@ _LONG_CHAIN = "(%s)" % " + ".join("g(%d)" % i
     "if g(0) < 1 or %s < 5 then 1 else 0",
 ], ids=["plus", "less", "then", "else", "and", "or"])
 def test_a_later_operand_that_needs_temporaries_keeps_its_reads(text):
-    # Run ahead of the statement, its temporaries would read ``g`` before
-    # the operand to its left does, or on a path that does not read it.
+    # The chain's temporaries are a call where the operand stands: run
+    # ahead of it, they would read ``g`` before the operand to its left
+    # does, or on a path that does not read it.
     e = parse(text % _LONG_CHAIN)
     for alpha in (InfSeq(lambda i: i % 2), InfSeq(lambda i: (i + 1) % 2)):
         _agrees_with_reference(e, alpha)
@@ -508,6 +518,31 @@ def test_each_generated_function_holds_at_most_one_loop(
             nodes = list(ast.walk(function))
             assert sum(isinstance(node, ast.For) for node in nodes) <= 1
             assert not any(isinstance(node, ast.Break) for node in nodes)
+
+
+def test_only_folds_and_long_chains_assign(default_recursion_limit):
+    # No statement runs ahead of an expression: one too deep for a line is
+    # a call, so a function assigns only a fold's accumulator, which it
+    # returns, or a long chain's temporaries ahead of its one ``return``.
+    rng = random.Random(36)
+    terms = [gen.gen_hexpr(rng, depth=rng.randint(0, 5)) for _ in range(300)]
+    texts = [_binders(MAX_DEPTH - 2), _nested_ifs(MAX_DEPTH),
+             _nested_ifs(MAX_DEPTH, False), "sum i < 2 : %s * g(i)",
+             "least i <= 2 st %s < g(i) else 0", "g(%s)"]
+    texts += [chain(MAX_DEPTH - 3) for chain in _IF_CHAINS.values()]
+    texts += [nest(n) for n, nest in _PARENTHESISED.values()]
+    for text in texts:
+        terms.append(parse(text.replace("%s", _LONG_CHAIN)))
+    for e in terms:
+        for function in ast.parse(_source(e)[0]).body:
+            *statements, last = function.body
+            assert isinstance(last, ast.Return)
+            if all(isinstance(s, ast.Assign) for s in statements):
+                continue
+            assigned = {target.id for node in ast.walk(function)
+                        if isinstance(node, ast.Assign)
+                        for target in node.targets}
+            assert assigned <= {getattr(last.value, "id", None)}
 
 
 def test_numeral_too_long_to_print_compiles(default_recursion_limit):

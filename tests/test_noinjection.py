@@ -2,7 +2,6 @@
 
 import gc
 import random
-import sys
 from dataclasses import replace
 from math import factorial
 
@@ -17,6 +16,7 @@ from barrec.noinjection import (BENCH_RANGES, RECURSORS, Counterexample,
                                 report_row, verify_counterexample)
 from barrec.pfun import EMPTY, EMPTY_SEQ, FiniteSeq, InfSeq, PartialFn, \
     extend_hat, extension_source
+from conftest import python_calls
 
 
 def _counting(fn):
@@ -140,18 +140,7 @@ def _diagonal(f):
 
 def _python_frames(alpha, i):
     """The number of Python frames one read ``alpha(i)`` runs."""
-    frames = []
-
-    def profile(frame, event, arg):
-        if event == "call":
-            frames.append(frame.f_code)
-
-    sys.setprofile(profile)
-    try:
-        alpha(i)
-    finally:
-        sys.setprofile(None)
-    return len(frames)
+    return len(python_calls(alpha, (i,))[1])
 
 
 def _reads_below_top(carrier):

@@ -1,7 +1,6 @@
 """Laws of the finite carriers and canonical extensions."""
 
 import functools
-import gc
 import json
 import sys
 
@@ -12,6 +11,7 @@ from hypothesis import strategies as st
 from barrec.context import sibling_cache
 from barrec.pfun import (EMPTY, FiniteSeq, InfSeq, PartialFn, _seq_view,
                          extend_hat, extend_table, extension_source)
+from conftest import python_calls
 
 indices = st.integers(min_value=0, max_value=30)
 values = st.integers(min_value=0, max_value=9)
@@ -205,33 +205,10 @@ def test_infseq_equality_and_hash_are_identity():
     assert evaluated[0] is a and evaluated[1] is b
 
 
-def _python_calls(read, points):
-    """The values ``read`` gives at ``points``, and the names of the Python
-    functions that ran while it did.  The collector is off meanwhile: a
-    collection would run the Python ``gc.callbacks`` Hypothesis installs,
-    which are no part of the read."""
-    calls = []
-
-    def profile(frame, event, arg):
-        if event == "call":
-            calls.append(frame.f_code.co_name)
-
-    enabled = gc.isenabled()
-    gc.disable()
-    sys.setprofile(profile)
-    try:
-        values = list(map(read, points))
-    finally:
-        sys.setprofile(None)
-        if enabled:
-            gc.enable()
-    return values, calls
-
-
 def test_constant_reads_run_no_python_frame():
     for x in (0, "x", None, (1, 2)):
         alpha = InfSeq.constant(x)
-        values, calls = _python_calls(alpha, range(5))
+        values, calls = python_calls(alpha, range(5))
         assert values == [x] * 5 and calls == []
 
 
@@ -244,7 +221,7 @@ def test_partial_fn_extension_reads(entries, undefined):
     u = PartialFn(entries)
     alpha = extend_hat(u, "zero")
     defined = [n for n, _ in entries]
-    values, calls = _python_calls(alpha, defined)
+    values, calls = python_calls(alpha, defined)
     assert values == [x for _, x in entries] and calls == []
     assert [alpha(n) for n in undefined] == ["zero"] * len(undefined)
     # A miss inserts nothing, so the table stays the partial function.
