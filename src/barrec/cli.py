@@ -13,14 +13,18 @@ non-negative integer where no ``--fuel`` overrides it, an unwritable
 digits than the interpreter prints, ``sys.get_int_max_str_digits()``),
 3 fuel exhausted, 4 failed verification, 5 recursion too deep (the
 sequential solver recurses once per carrier slot, so a control with
-values in the thousands outgrows the interpreter's recursion limit).
+values in the thousands outgrows the interpreter's recursion limit),
+6 out of memory (a ``MemoryError``: fuel bounds the work a run does, not
+the memory it holds, so a run well inside its fuel can still exhaust
+the process's address space; a code of its own tells a budget the
+caller set from a limit of the machine).
 ``--fuel`` bounds recursor entries plus thread steps, and what is left
 of it after a solve must cover both printed prefixes, ``alpha`` and
 ``beta``, ``2 * (max(i, 8) + 1)`` points; ``EvalContext.require`` decides
 both.  ``solve`` and ``bench`` print text, CSV or JSON; ``thread`` prints
 text or JSON.
-``bench`` reports a cell that runs out of fuel or recurses too deep as a
-row with an ``error`` field and still exits 0.
+``bench`` reports a cell that runs out of fuel or memory or recurses too
+deep as a row with an ``error`` field and still exits 0.
 CSV and JSON output is byte-deterministic for a fixed configuration
 except for the ``wall_ms`` field.
 JSON keeps ``json.dumps(indent=2)``'s layout byte for byte, but json's C
@@ -59,6 +63,7 @@ EXIT_PARSE = 2
 EXIT_FUEL = 3
 EXIT_INVALID = 4
 EXIT_DEPTH = 5
+EXIT_MEMORY = 6
 
 
 class UsageError(ValueError):
@@ -262,8 +267,8 @@ def cmd_bench(args) -> int:
 
 
 def _bench_cell(h, family, n, recursor, ctx) -> dict:
-    """``_run_cell``, or when the fuel or the interpreter's stack runs out,
-    a row carrying the calls made so far."""
+    """``_run_cell``, or when the fuel, the memory or the interpreter's
+    stack runs out, a row carrying the calls made so far."""
     started = time.perf_counter()
     try:
         return _run_cell(h, family, n, recursor, ctx)
@@ -271,6 +276,8 @@ def _bench_cell(h, family, n, recursor, ctx) -> dict:
         error = "fuel-exhausted"
     except RecursionError:
         error = "recursion-too-deep"
+    except MemoryError:
+        error = "out-of-memory"
     row = report_row(family, n, recursor, ctx.metrics())
     row.update(error=error, wall_ms=_ms(started))
     return row
@@ -294,11 +301,16 @@ def _bench_text(rows: list) -> str:
     return "\n".join(lines) + "\n"
 
 
+# How the text table shows a cell that stopped early, by its error field.
+_ERROR_TEXT = {"fuel-exhausted": "fuel!", "recursion-too-deep": "depth!",
+               "out-of-memory": "memory!"}
+
+
 def _cell_text(row) -> str:
     if row is None:
         return "-"
     if row.get("error"):
-        return "fuel!" if row["error"] == "fuel-exhausted" else "depth!"
+        return _ERROR_TEXT[row["error"]]
     return "%d / %d" % (row["domain_size"], row["calls"])
 
 
@@ -449,6 +461,9 @@ def main(argv=None) -> int:
     except RecursionError:
         sys.stderr.write("error: recursion too deep\n")
         return EXIT_DEPTH
+    except MemoryError:
+        sys.stderr.write("error: out of memory\n")
+        return EXIT_MEMORY
 
 
 if __name__ == "__main__":

@@ -32,6 +32,8 @@ with their ``bench`` ranges (``BENCH_RANGES``), the recursor names
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, count
+from operator import is_not
 from typing import Callable
 
 from .choice import ChoiceParams, solve_spector, solve_symmetric
@@ -130,7 +132,12 @@ def make_choice_params(h: HFunctional) -> ChoiceParams:
     built off the carrier (``pfun.extension_source``), not ``f`` point by
     point.  A partial function's table maps each index ``n`` of an entry
     ``(n, v)`` to ``v(n) + 1`` and reads 1, the zero's ``0 + 1``,
-    elsewhere, in C at an entry (``pfun.extend_table``).  A sequence's table
+    elsewhere, in C hit or miss (``pfun.extend_table``).  It is derived
+    from the last one built, kept with the entry tuple it was built from:
+    a copy of the last table loses the indices of the last tuple's entries
+    that the new tuple does not share at its ends, and gains ``v(n) + 1``
+    for the new tuple's own, so a carrier one update away from the last
+    reads one value.  A sequence's table
     is a list ``d`` with ``d[i] = buf[i](i) + 1``, kept for the last
     buffer seen and shared by every view of it: it grows to the view's
     length on each ``q``, and a read of a view of length ``n`` is ``d[i]``
@@ -142,6 +149,33 @@ def make_choice_params(h: HFunctional) -> ChoiceParams:
     last = [(None, None, None)]
     # The buffer of the last sequence carrier q read, and its diagonal.
     diag = [None, []]
+    # The entries of the last partial-function carrier q read, and its
+    # diagonal table, replaced as one tuple.
+    pf_diag = [((), {})]
+
+    def pf_diagonal(source: dict) -> InfSeq:
+        new = source.entries
+        if new is None:
+            new = tuple(source.items())
+        old, table = pf_diag[0]
+        # The two tuples hold the same pairs, object for object, in their
+        # first i and last j places, so the table changes only between
+        # them.  A pair in both runs of the shorter tuple would stand twice
+        # in the longer one, so the runs overlap only when the tuples are
+        # equal, and then both middles are empty.
+        k = min(len(old), len(new))
+        i = next(compress(count(), map(is_not, old, new)), k)
+        j = next(compress(count(), map(is_not, reversed(old), reversed(new))),
+                 k)
+        qf = extend_table(table, 1)
+        # The copy is this call's own until it returns.
+        table = extension_source(qf)
+        for n, _ in old[i:len(old) - j]:
+            del table[n]
+        for n, v in new[i:len(new) - j]:
+            table[n] = v(n) + 1
+        pf_diag[0] = (new, table)
+        return qf
 
     def seq_diagonal(buf: list, n: int) -> InfSeq:
         if diag[0] is not buf:
@@ -158,7 +192,7 @@ def make_choice_params(h: HFunctional) -> ChoiceParams:
         if source is None or source.default is not zero:
             return InfSeq(lambda num: f(num)(num) + 1)
         if isinstance(source, dict):
-            return extend_table({n: v(n) + 1 for n, v in source.items()}, 1)
+            return pf_diagonal(source)
         return seq_diagonal(source.buf, source.n)
 
     def control(f: InfSeq) -> int:

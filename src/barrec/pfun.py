@@ -37,9 +37,10 @@ grows from one start state shares its entries; a merge into a carrier
 that already holds each of ``self``'s entries returns that carrier.
 
 Extension reads run in C where they can.  A ``PartialFn``'s extension reads
-an ``_Extension`` table, a ``dict`` whose ``__missing__`` returns the zero,
-so only a read outside the domain runs a Python frame; a constant sequence
-is ``partial(next, repeat(x))``.  A ``FiniteSeq``'s extension reads a
+an ``_Extension`` table, a ``dict`` whose ``__missing__`` hands the index
+to a shared ``partial(next, repeat(zero))``, so no read runs a Python
+frame, in the domain or outside it; a constant sequence is
+``partial(next, repeat(x))``.  A ``FiniteSeq``'s extension reads a
 ``_SeqExtension`` record through its bound ``read``.  Either extension's
 function is bound to the record it reads, and ``extension_source`` hands
 that record to a reader that builds a table off the carrier.  ``InfSeq``
@@ -335,16 +336,24 @@ class _Extension(dict):
     """A partial function's entries as a table that reads ``default`` at
     every index it lacks.
 
-    ``__getitem__`` is dict's C lookup, so a read of a defined point runs
-    no Python frame; only a miss runs ``__missing__``, which inserts
-    nothing.  The table is built afresh for each extension and not cached
-    on the ``PartialFn``: the memo keeps its states alive, and a cached
-    table would live as long as they do."""
+    ``__getitem__`` is dict's C lookup, and a miss runs no Python frame
+    either: dict looks ``__missing__`` up on the type, where it is a
+    property that hands back the table's ``_miss`` reader,
+    ``partial(next, repeat(default))``, which dict then calls with the
+    index.  Nothing is inserted on a miss.  ``entries`` is the entry tuple
+    of the partial function ``extend_hat`` built the table from, and
+    ``None`` for any other table.  The table is built afresh for each
+    extension and not cached on the ``PartialFn``: the memo keeps its
+    states alive, and a cached table would live as long as they do."""
 
-    __slots__ = ("default",)
+    __slots__ = ("default", "entries", "_miss")
+    __missing__ = property(operator.attrgetter("_miss"))
 
-    def __missing__(self, i: Any) -> Any:
-        return self.default
+
+# The last default a table was built for and its miss reader, replaced as
+# one tuple so that a table never gets the reader of another default.  It
+# keeps that one default alive.
+_reader = (object(), None)
 
 
 class _SeqExtension:
@@ -367,17 +376,25 @@ def extend_hat(u: "PartialFn | FiniteSeq", default: Any) -> InfSeq:
         view.buf, view.n, view.default = u._buf, u._n, default
         return InfSeq(view.read)
     if isinstance(u, PartialFn):
-        return extend_table(u.entries, default)
+        return extend_table(u.entries, default, u.entries)
     raise TypeError("cannot extend %r" % type(u).__name__)
 
 
-def extend_table(pairs: Any, default: Any) -> InfSeq:
+def extend_table(pairs: Any, default: Any,
+                 entries: "tuple | None" = None) -> InfSeq:
     """The sequence that reads the table of ``pairs`` (a mapping, or
     ``(index, value)`` pairs) at its indices and ``default`` elsewhere, in
-    C at a defined point: a partial function's extension, and any table a
-    reader builds off one."""
+    C at every index: a partial function's extension, whose table records
+    its ``entries``, and any table a reader builds off one.  Tables with
+    the same default share one miss reader."""
+    global _reader
     table = _Extension(pairs)
-    table.default = default
+    table.default, table.entries = default, entries
+    last, read = _reader
+    if last is not default:
+        read = partial(next, repeat(default))
+        _reader = (default, read)
+    table._miss = read
     return InfSeq(table.__getitem__)
 
 
@@ -385,7 +402,8 @@ def extension_source(alpha: InfSeq) -> Any:
     """The carrier data an ``extend_hat`` extension reads, for a reader
     that derives a table from it instead of reading ``alpha`` point by
     point: a partial function's ``dict`` of index to value, whose
-    ``default`` is the zero; a sequence's record of ``buf``, ``n`` and
+    ``default`` is the zero and whose ``entries`` is the partial
+    function's entry tuple; a sequence's record of ``buf``, ``n`` and
     ``default``, whose slots below ``n`` are fixed once written, however
     far ``buf`` grows.  ``None`` for any other sequence.  Neither may be
     written to."""

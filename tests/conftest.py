@@ -1,11 +1,15 @@
 """Helpers shared by the test modules."""
 
 import gc
+import os
 import sys
+from pathlib import Path
 
 from hypothesis import settings
 
 from barrec import context
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 # The engines raise the recursion limit on first use; raising it here
 # keeps a Hypothesis test from seeing it change while it runs.
@@ -45,3 +49,10 @@ def python_calls(read, points):
         if enabled:
             gc.enable()
     return values, calls
+
+
+def child_env(**extra) -> dict:
+    """The environment for a child interpreter that imports this
+    checkout's ``barrec``, never an installed copy."""
+    path = filter(None, (str(SRC), os.environ.get("PYTHONPATH")))
+    return {**os.environ, **extra, "PYTHONPATH": os.pathsep.join(path)}

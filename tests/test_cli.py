@@ -5,13 +5,11 @@ import json
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 from barrec import checks, cli
-
-SRC = Path(__file__).resolve().parents[1] / "src"
+from conftest import child_env
 
 
 def run_main(args, capsys):
@@ -234,6 +232,8 @@ def test_bench_text_marks_error_rows():
     text = cli._bench_text([row("plain", "recursion-too-deep"),
                             row("memoized", "fuel-exhausted")])
     assert text.splitlines()[2].split()[3:5] == ["depth!", "fuel!"]
+    text = cli._bench_text([row("plain", "out-of-memory")])
+    assert text.splitlines()[2].split()[3:5] == ["memory!", "-"]
 
 
 @pytest.mark.parametrize("n", ["6..4", "3.."])
@@ -466,18 +466,11 @@ def test_malformed_env_fuel_ignored_when_unused(argv, monkeypatch, capsys):
     assert capsys.readouterr().err == ""
 
 
-def _child_env(**extra) -> dict:
-    """The environment for a child interpreter that imports this
-    checkout's ``barrec``, never an installed copy."""
-    path = filter(None, (str(SRC), os.environ.get("PYTHONPATH")))
-    return {**os.environ, **extra, "PYTHONPATH": os.pathsep.join(path)}
-
-
 def test_env_var_fuel(tmp_path):
     script = ("import sys; from barrec import cli; "
               "sys.exit(cli.main(['solve', '--builtin', 'prod:6']))")
     proc = subprocess.run([sys.executable, "-c", script],
-                          env=_child_env(BARREC_FUEL="5"),
+                          env=child_env(BARREC_FUEL="5"),
                           capture_output=True, text=True)
     assert proc.returncode == 3
 
@@ -485,6 +478,6 @@ def test_env_var_fuel(tmp_path):
 def test_console_entry_point():
     proc = subprocess.run([sys.executable, "-m", "barrec.cli", "solve",
                            "--builtin", "contrived:3", "--recursor", "both"],
-                          env=_child_env(), capture_output=True, text=True)
+                          env=child_env(), capture_output=True, text=True)
     assert proc.returncode == 0
     assert "valid=True" in proc.stdout

@@ -6,15 +6,15 @@ drawn from small valid ones and from malformed text: ``--fuel``, ``--n``,
 ``--output`` (a file, a path under a missing directory, a directory),
 ``BARREC_FUEL``, ``--u`` (JSON objects whose values are integers, floats,
 ``Infinity``, booleans, ``null`` or strings) and ``--h`` (generated DSL
-terms and malformed text).  The exit code must be one of 0, 2, 3, 4 and
-5, argparse's own exit 2 included, and no exception may escape.
+terms and malformed text).  The exit code must be one of 0, 2, 3, 4, 5
+and 6, argparse's own exit 2 included, and no exception may escape.
 
 Every well-formed fuel is at most 300, and no run goes without one, so
 each run is short.  That is also what this test leaves out: fuel bounds
 recursor entries and thread steps, not the DSL work inside one
 evaluation of a control, so ``solve --h "sum i < 100000000 : g(i)"``
 runs for as long as its bound says whatever ``--fuel`` is.  That is an
-open defect (ROADMAP Direction 2); the generated terms keep their
+open defect (ROADMAP Direction 1); the generated terms keep their
 bounds small, and malformed text holds no decimal digit that could
 name a large ``n``.
 """
@@ -23,17 +23,21 @@ import io
 import json
 import os
 import random
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from barrec import checks, cli, gen, hdsl
 from barrec.noinjection import FAMILIES
+from conftest import child_env
 
 EXIT_CODES = {cli.EXIT_OK, cli.EXIT_PARSE, cli.EXIT_FUEL, cli.EXIT_INVALID,
-              cli.EXIT_DEPTH}
+              cli.EXIT_DEPTH, cli.EXIT_MEMORY}
 
 # Short text with no decimal digit, so it never reads as a number.
 junk = st.text(st.characters(exclude_categories=("Cs", "Nd"),
@@ -172,3 +176,35 @@ def test_every_argument_value_ends_in_a_documented_exit_code(
     assert rc in EXIT_CODES, (argv, env_fuel, rc, err)
     if rc != cli.EXIT_OK:
         assert err and "Traceback" not in err
+
+
+# ``contrived:3000`` on the demand-driven solver peaks near 280 MB.  The
+# child may map 64 MB, about three times what an interpreter maps once it
+# has imported barrec, so it runs out of memory in well under a second.
+MEMORY_LIMIT = 64 * 2 ** 20
+
+
+@pytest.mark.parametrize("command", ["solve", "bench"])
+def test_running_out_of_memory_ends_in_a_documented_exit_code(command):
+    # RLIMIT_AS is Unix-only: elsewhere there is no limit to set, so the
+    # test is skipped.
+    resource = pytest.importorskip("resource")
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
+
+    cell = (["solve", "--builtin", "contrived:3000"] if command == "solve"
+            else ["bench", "--family", "contrived", "--n", "3000"])
+    proc = subprocess.run(
+        [sys.executable, "-m", "barrec.cli", *cell, "--recursor",
+         "symmetric", "--format", "json"],
+        env=child_env(), capture_output=True, text=True,
+        preexec_fn=limit_memory, timeout=60)
+    if command == "solve":
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            cli.EXIT_MEMORY, "", "error: out of memory\n")
+    else:
+        assert (proc.returncode, proc.stderr) == (cli.EXIT_OK, "")
+        rows = json.loads(proc.stdout)
+        assert [row["error"] for row in rows] == ["out-of-memory"] * 2
+        assert all(row["calls"] > 0 for row in rows)

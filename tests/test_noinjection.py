@@ -6,6 +6,8 @@ from dataclasses import replace
 from math import factorial
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from barrec import choice, gen
 from barrec.choice import (psi_symmetric, phi_spector, solve_spector,
@@ -15,8 +17,8 @@ from barrec.noinjection import (BENCH_RANGES, RECURSORS, Counterexample,
                                 builtin_h, counterexample, make_choice_params,
                                 report_row, verify_counterexample)
 from barrec.pfun import EMPTY, EMPTY_SEQ, FiniteSeq, InfSeq, PartialFn, \
-    extend_hat, extension_source
-from conftest import python_calls
+    extend_hat, extend_table, extension_source
+from conftest import oracle, python_calls
 
 
 def _counting(fn):
@@ -164,12 +166,10 @@ def test_table_backed_diagonal_reads_as_the_plain_one(solve, family):
     points = _reads_below_top(carrier)
     assert list(map(table, points)) == list(map(_diagonal(f), points))
     # One read is one lookup, however deeply the carrier's values nest: in
-    # C at a partial function's entry, else one frame.
-    def frames(i):
-        return 0 if isinstance(carrier, PartialFn) and \
-            carrier.defined_at(i) else 1
-
-    assert all(_python_frames(table, i) == frames(i) for i in points)
+    # C at every index of a partial function's diagonal, hit or miss, and
+    # one frame for a sequence's.
+    frames = 0 if isinstance(carrier, PartialFn) else 1
+    assert all(_python_frames(table, i) == frames for i in points)
 
 
 def test_sibling_sequence_views_read_their_own_diagonals():
@@ -193,6 +193,47 @@ def test_sibling_sequence_views_read_their_own_diagonals():
     assert cp.q(extend_hat(s, cp.default)).prefix(5) == [1, 12, 23, 34, 1]
 
 
+# Each step makes the next carrier from the last one: ``update`` inserts at
+# the front, in the middle or at the end (or leaves a defined index as it
+# is), ``replace`` swaps one entry's value, ``delete`` drops one entry,
+# ``fresh`` builds an unrelated carrier, ``empty`` the empty one.
+carrier_steps = st.lists(st.tuples(
+    st.sampled_from(("update", "replace", "delete", "fresh", "empty")),
+    st.integers(0, 12), st.integers(0, 3),
+    st.dictionaries(st.integers(0, 12), st.integers(0, 3), max_size=6)),
+    max_size=14)
+
+
+@oracle(200)
+@given(carrier_steps)
+def test_derived_partial_fn_diagonals_are_exact(steps):
+    cp = make_choice_params(builtin_h("prod", 4))
+    values = (cp.default, InfSeq.constant(4), InfSeq(lambda i: 10 + i),
+              extend_table({1: 7}, 0))
+    u = EMPTY
+    made = []
+    for op, n, k, fresh in steps:
+        entries = u.entries
+        if op == "update":
+            u = u.update(n, values[k])
+        elif op == "replace" and entries:
+            u = u.splice(entries[n % len(u)][0], values[k], u)
+        elif op == "delete" and entries:
+            m = n % len(u)
+            u = PartialFn(entries[:m] + entries[m + 1:])
+        elif op == "fresh":
+            u = PartialFn((m, values[j]) for m, j in fresh.items())
+        elif op == "empty":
+            u = EMPTY
+        qf = cp.q(extend_hat(u, cp.default))
+        expected = {m: v(m) + 1 for m, v in u.entries}
+        assert extension_source(qf) == expected
+        # Each diagonal still reads its own table once q has moved on.
+        made.append((qf, expected))
+        for table, want in made:
+            assert table.prefix(14) == [want.get(i, 1) for i in range(14)]
+
+
 def test_other_sequences_take_the_plain_diagonal():
     cp = make_choice_params(builtin_h("prod", 4))
     zero_family = InfSeq.constant(cp.default)
@@ -203,6 +244,9 @@ def test_other_sequences_take_the_plain_diagonal():
     for carrier in (FiniteSeq((cp.default,)), PartialFn([(0, cp.default)])):
         f = extend_hat(carrier, three)
         assert cp.q(f).prefix(4) == _diagonal(f).prefix(4) == [1, 5, 6, 7]
+    # A table over the zero built off no partial function reads its items.
+    built = extend_table({2: three}, cp.default)
+    assert cp.q(built).prefix(4) == _diagonal(built).prefix(4) == [1, 1, 6, 1]
 
 
 def test_verifier_evaluates_h_on_both_sequences():

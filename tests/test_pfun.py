@@ -223,10 +223,25 @@ def test_partial_fn_extension_reads(entries, undefined):
     defined = [n for n, _ in entries]
     values, calls = python_calls(alpha, defined)
     assert values == [x for _, x in entries] and calls == []
-    assert [alpha(n) for n in undefined] == ["zero"] * len(undefined)
+    values, calls = python_calls(alpha, undefined)
+    assert values == ["zero"] * len(undefined) and calls == []
     # A miss inserts nothing, so the table stays the partial function.
     assert dict(alpha.func.__self__) == dict(entries)
     assert extend_hat(u, None).prefix(0) == []
+
+
+def test_tables_of_two_defaults_built_in_turn_read_their_own():
+    # Equal defaults that are distinct objects: a miss must hand back the
+    # very default its own table was built with.
+    defaults = ([0], [0])
+    made = []
+    for k in range(6):
+        default = defaults[k % 2]
+        made.append((extend_hat(PartialFn([(k, "x")]), default), k, default))
+        made.append((extend_table({k: "y"}, default), k, default))
+    for alpha, k, default in made:
+        assert all(alpha(i) is default for i in range(8) if i != k)
+        assert alpha(k) in ("x", "y")
 
 
 def test_extension_source_is_the_record_the_extension_reads():
