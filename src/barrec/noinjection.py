@@ -134,10 +134,10 @@ def make_choice_params(h: HFunctional) -> ChoiceParams:
     ``(n, v)`` to ``v(n) + 1`` and reads 1, the zero's ``0 + 1``,
     elsewhere, in C hit or miss (``pfun.extend_table``).  It is derived
     from the last one built, kept with the entry tuple it was built from:
-    a copy of the last table loses the indices of the last tuple's entries
-    that the new tuple does not share at its ends, and gains ``v(n) + 1``
-    for the new tuple's own, so a carrier one update away from the last
-    reads one value.  A sequence's table
+    a copy of the last table, which takes its miss reader, loses the
+    indices of the last tuple's entries that the new tuple does not share
+    at its ends, and gains ``v(n) + 1`` for the new tuple's own, so a
+    carrier one update away from the last reads one value.  A sequence's table
     is a list ``d`` with ``d[i] = buf[i](i) + 1``, kept for the last
     buffer seen and shared by every view of it: it grows to the view's
     length on each ``q``, and a read of a view of length ``n`` is ``d[i]``

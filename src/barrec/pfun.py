@@ -350,9 +350,9 @@ class _Extension(dict):
     __missing__ = property(operator.attrgetter("_miss"))
 
 
-# The last default a table was built for and its miss reader, replaced as
-# one tuple so that a table never gets the reader of another default.  It
-# keeps that one default alive.
+# The last default a table not built off another table was given, and its
+# miss reader, replaced as one tuple so that a table never gets the reader
+# of another default.  It keeps that one default alive.
 _reader = (object(), None)
 
 
@@ -385,15 +385,21 @@ def extend_table(pairs: Any, default: Any,
     """The sequence that reads the table of ``pairs`` (a mapping, or
     ``(index, value)`` pairs) at its indices and ``default`` elsewhere, in
     C at every index: a partial function's extension, whose table records
-    its ``entries``, and any table a reader builds off one.  Tables with
-    the same default share one miss reader."""
+    its ``entries``, and any table a reader builds off one.  A table built
+    off another table of the same default takes that table's miss reader,
+    and any other table the reader of the last such default, so a stream
+    of partial-function extensions shares one reader, and a stream of
+    tables each derived from the last shares another."""
     global _reader
     table = _Extension(pairs)
     table.default, table.entries = default, entries
-    last, read = _reader
-    if last is not default:
-        read = partial(next, repeat(default))
-        _reader = (default, read)
+    if type(pairs) is _Extension and pairs.default is default:
+        read = pairs._miss
+    else:
+        last, read = _reader
+        if last is not default:
+            read = partial(next, repeat(default))
+            _reader = (default, read)
     table._miss = read
     return InfSeq(table.__getitem__)
 

@@ -234,6 +234,23 @@ def test_derived_partial_fn_diagonals_are_exact(steps):
             assert table.prefix(14) == [want.get(i, 1) for i in range(14)]
 
 
+def test_extensions_and_diagonals_in_turn_keep_one_reader_each():
+    # A demand-driven solve alternates extensions over the zero with their
+    # diagonals, whose default is 1: after the first diagonal, each keeps
+    # one miss reader, not one per table.
+    cp = make_choice_params(builtin_h("prod", 4))
+    u = EMPTY
+    extensions, diagonals = [], []
+    for n in range(6):
+        u = u.update(n, cp.default)
+        alpha = extend_hat(u, cp.default)
+        extensions.append(extension_source(alpha).__missing__)
+        diagonals.append(extension_source(cp.q(alpha)).__missing__)
+    assert all(r is extensions[1] for r in extensions[1:])
+    assert all(r is diagonals[0] for r in diagonals)
+    assert extensions[1](9) is cp.default and diagonals[0](9) == 1
+
+
 def test_other_sequences_take_the_plain_diagonal():
     cp = make_choice_params(builtin_h("prod", 4))
     zero_family = InfSeq.constant(cp.default)
