@@ -257,17 +257,60 @@ def collision_law(rng: random.Random) -> Iterator[tuple]:
     yield from _collisions(gen.gen_h_for_counterexample(rng)[1])
 
 
+def evaluate(e, g, env: dict = {}) -> int:
+    """The value of DSL term or condition ``e`` on ``g`` by walking the
+    tree, where ``env`` maps each variable in scope to its value: the
+    DSL's semantics written apart from the compiler (``hdsl``), to check
+    ``hdsl.as_functional`` against.  It reads the points of ``g`` in the
+    order the compiled term reads them.  No solve runs it."""
+    if isinstance(e, hdsl.Nat):
+        return e.value
+    if isinstance(e, hdsl.Var):
+        return env[e.name]
+    if isinstance(e, hdsl.Gamma):
+        return g(evaluate(e.arg, g, env))
+    if isinstance(e, hdsl.BinOp):
+        a, b = evaluate(e.left, g, env), evaluate(e.right, g, env)
+        return (a + b if e.op == "+" else max(a - b, 0) if e.op == "-"
+                else a * b if e.op == "*" else a ** b)
+    if isinstance(e, hdsl.Fold):
+        acc = 1 if e.op == "prod" else 0
+        for i in range(evaluate(e.bound, g, env)):
+            v = evaluate(e.body, g, {**env, e.var: i})
+            acc = acc * v if e.op == "prod" else acc + v
+        return acc
+    if isinstance(e, hdsl.Search):
+        top = evaluate(e.bound, g, env)
+        for i in range(top + 1) if e.op == "least" else range(top, -1, -1):
+            if evaluate(e.cond, g, {**env, e.var: i}):
+                return i
+        return evaluate(e.orelse, g, env)
+    if isinstance(e, hdsl.If):
+        branch = e.then if evaluate(e.cond, g, env) else e.orelse
+        return evaluate(branch, g, env)
+    if isinstance(e, hdsl.Cmp):
+        a, b = evaluate(e.left, g, env), evaluate(e.right, g, env)
+        return {"<": a < b, "<=": a <= b, "=": a == b, "!=": a != b}[e.op]
+    if isinstance(e, hdsl.Not):
+        return not evaluate(e.cond, g, env)
+    left = evaluate(e.left, g, env)
+    if e.op == "and":
+        return left and evaluate(e.right, g, env)
+    return left or evaluate(e.right, g, env)
+
+
 def rendering_law(rng: random.Random, family: str,
                   samples: int) -> Iterator[tuple]:
-    """A built-in family at a drawn size agrees with its DSL rendering on
+    """A built-in family at a drawn size, compiled as ``builtin_h``
+    compiles it, agrees with ``evaluate`` on its DSL rendering on
     ``samples`` generated sequences."""
     n = rng.randint(2, 6)
-    href = builtin_h(family, n)
-    hdsl_fn = hdsl.as_functional(hdsl.parse(builtin_dsl(family, n)))
+    e = hdsl.parse(builtin_dsl(family, n))
+    h = hdsl.as_functional(e)
     agree = True
     for _ in range(samples):
         gamma = gen.gen_alpha(rng)
-        agree &= href(gamma) == hdsl_fn(gamma)
+        agree &= h(gamma) == evaluate(e, gamma)
     yield agree, "DSL rendering at n=%d disagrees" % n
 
 
@@ -297,13 +340,16 @@ def _suite(name, default_cases, loops):
     """The suite ``name``: ``loops(rng, cases)`` yields ``(label,
     checks)`` pairs, which run in order on one generator.  A law that
     raises counts as one failure, and the suite goes on with the next
-    pair."""
+    pair; but a ``MemoryError`` is a limit of the machine, not a failed
+    check, and stops the run."""
     def suite(seed: int = 0, cases: int = default_cases) -> SuiteResult:
         res = SuiteResult(name)
         for label, checks in loops(random.Random(seed), cases):
             try:
                 for ok, describe in checks:
                     res.check(ok, "%s: %s" % (label, describe))
+            except MemoryError:
+                raise
             except Exception as exc:
                 res.check(False, "%s: raised %s: %s"
                           % (label, type(exc).__name__, exc))

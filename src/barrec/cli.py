@@ -17,7 +17,9 @@ values in the thousands outgrows the interpreter's recursion limit),
 6 out of memory (a ``MemoryError``: fuel bounds the work a run does, not
 the memory it holds, so a run well inside its fuel can still exhaust
 the process's address space; a code of its own tells a budget the
-caller set from a limit of the machine).
+caller set from a limit of the machine, and a ``check`` law that runs
+out of memory stops the run with it, where any other exception a law
+raises counts as one failed check).
 ``--fuel`` bounds recursor entries plus thread steps, and what is left
 of it after a solve must cover both printed prefixes, ``alpha`` and
 ``beta``, ``2 * (max(i, 8) + 1)`` points; ``EvalContext.require`` decides
@@ -50,8 +52,9 @@ import time
 
 from . import checks, hdsl
 from .context import DEFAULT_FUEL, MODES, PLAIN, EvalContext, FuelExhausted
-from .noinjection import (BENCH_RANGES, FAMILIES, RECURSORS, builtin_h,
-                          counterexample, report_row, verify_counterexample)
+from .noinjection import (BENCH_RANGES, FAMILIES, RECURSORS, builtin_dsl,
+                          builtin_h, counterexample, report_row,
+                          verify_counterexample)
 from .pfun import EMPTY, PartialFn, extend_hat
 from .threads import trace_thread
 
@@ -104,10 +107,13 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _resolve_h(args) -> tuple:
-    """Returns (family label, n or None, functional)."""
+    """Returns (family label, n or None, functional).  ``--builtin``
+    names its family's DSL rendering, which takes ``--h``'s one parse
+    and compile."""
+    label, n, text = "dsl", None, args.h
     if args.builtin is not None:
-        family, _, num = args.builtin.partition(":")
-        if family not in FAMILIES or not num.isdecimal():
+        label, _, num = args.builtin.partition(":")
+        if label not in FAMILIES or not num.isdecimal():
             raise UsageError("--builtin wants FAMILY:N with FAMILY in %s"
                              % (", ".join(FAMILIES)))
         try:
@@ -116,12 +122,12 @@ def _resolve_h(args) -> tuple:
             raise UsageError("--builtin: N has %d digits, more than %d"
                              % (len(num), sys.get_int_max_str_digits())
                              ) from None
-        return family, n, builtin_h(family, n)
+        text = builtin_dsl(label, n)
     try:
-        expr = hdsl.parse(args.h)
+        expr = hdsl.parse(text)
     except (hdsl.ParseError, hdsl.UnboundVariable) as exc:
         raise UsageError(str(exc)) from None
-    return "dsl", None, hdsl.as_functional(expr)
+    return label, n, hdsl.as_functional(expr)
 
 
 def _rows_to_csv(rows: list) -> str:

@@ -42,7 +42,8 @@ too long for one line costs one call however long it is: its function
 keeps the value so far in temporaries.  Compiling is the price: 0.2-0.3
 ms per small term on CPython 3.11, several times what building a
 closure per syntax node costs, which a solve's thousands of evaluations
-repay.
+repay.  ``checks.evaluate`` walks the syntax tree instead: the same
+semantics written apart from the compiler, which the checks hold it to.
 """
 
 from __future__ import annotations

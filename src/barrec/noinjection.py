@@ -23,10 +23,12 @@ itself such a table or the zero, so a read of ``q(f)`` is one lookup
 however deeply the values it reaches were built, and a value keeps its
 table alive, not the extension it was read through.
 
-Built-in ``H`` families and a verifier for the produced collisions live
-here as well.  So do the report's axes, each declared once: the families
-with their ``bench`` ranges (``BENCH_RANGES``), the recursor names
-(``RECURSORS``) and the row schema (``report_row``).
+The built-in ``H`` families live here as well, each defined once, in the
+control DSL (``builtin_dsl``); ``builtin_h`` compiles a family's
+rendering, which is what every built-in solve runs.  So do a verifier
+for the produced collisions and the report's axes, each declared once:
+the families with their ``bench`` ranges (``BENCH_RANGES``), the
+recursor names (``RECURSORS``) and the row schema (``report_row``).
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from typing import Callable
 
 from .choice import ChoiceParams, solve_spector, solve_symmetric
 from .context import EvalContext, Metrics
+from .hdsl import as_functional, parse
 from .pfun import InfSeq, extend_table, extension_source
 
 HFunctional = Callable[[InfSeq], int]
@@ -56,7 +59,14 @@ RECURSORS = ("spector", "symmetric")
 
 
 def builtin_h(family: str, n: int) -> HFunctional:
-    """The built-in ``H`` families.
+    """The built-in family ``family`` at ``n``: its DSL rendering
+    (``builtin_dsl``), compiled."""
+    return as_functional(parse(builtin_dsl(family, n)))
+
+
+def builtin_dsl(family: str, n: int) -> str:
+    """The built-in ``H`` families, each defined here once, in the control
+    DSL.
 
     ``prod``      : product of ``1 + gamma(i)`` over ``i < n``;
     ``prodpow``   : product of ``(1 + i) ^ (1 + gamma(i))`` over ``i < n``;
@@ -66,44 +76,6 @@ def builtin_h(family: str, n: int) -> HFunctional:
                     exactly one of the first two entries is 2 (the other 1),
                     and 1 otherwise.
     """
-    if family == "prod":
-        def h(gamma: InfSeq) -> int:
-            acc = 1
-            for i in range(n):
-                acc *= 1 + gamma(i)
-            return acc
-        return h
-    if family == "prodpow":
-        def h(gamma: InfSeq) -> int:
-            acc = 1
-            for i in range(n):
-                acc *= (1 + i) ** (1 + gamma(i))
-            return acc
-        return h
-    if family == "leastinc":
-        def h(gamma: InfSeq) -> int:
-            for i in range(n + 1):
-                if gamma(i) < gamma(i + 1):
-                    return i
-            return n
-        return h
-    if family == "contrived":
-        def h(gamma: InfSeq) -> int:
-            g0, g1 = gamma(0), gamma(1)
-            if g0 == 2 and g1 == 2:
-                for i in range(n, -1, -1):
-                    if gamma(i) == 1:
-                        return i
-                return n
-            if (g0 == 1 and g1 == 2) or (g0 == 2 and g1 == 1):
-                return 0
-            return 1
-        return h
-    raise ValueError("unknown family %r" % (family,))
-
-
-def builtin_dsl(family: str, n: int) -> str:
-    """The built-in families rendered in the control DSL."""
     if family == "prod":
         return "prod i < %d : 1 + g(i)" % n
     if family == "prodpow":

@@ -344,6 +344,18 @@ def test_check_counts_a_law_that_raises_as_one_failure(monkeypatch, capsys):
                          "solution" % k for k in range(3)]
 
 
+def test_check_stops_with_exit_6_when_a_law_runs_out_of_memory(
+        monkeypatch, capsys):
+    def exhausting(rng):
+        yield True, "passes"
+        raise MemoryError
+
+    monkeypatch.setattr(checks, "roundtrip_law", exhausting)
+    rc = cli.main(["check", "--suite", "dsl", "--cases", "1"])
+    out, err = capsys.readouterr()
+    assert (rc, out, err) == (cli.EXIT_MEMORY, "", "error: out of memory\n")
+
+
 def test_thread_subcommand_json(capsys):
     rc, out = run_main(["thread", "--h", "g(0)", "--u", '{"0": 3}',
                         "--steps", "4", "--format", "json"], capsys)

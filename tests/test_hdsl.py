@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from barrec import gen
+from barrec.checks import evaluate
 from barrec.hdsl import (MAX_DEPTH, BinOp, Cmp, Cond, Conn, Expr, Fold, Gamma,
                          If, Nat, Not, ParseError, Search, UnboundVariable,
                          Var, _MAX_NESTING, _source, as_functional,
@@ -190,18 +191,20 @@ def _value_and_reads(h, alpha):
 
 @pytest.mark.parametrize("family,ns", [
     ("prod", (0, 1, 4, 7)), ("prodpow", (0, 2, 3)), ("leastinc", (0, 3, 9)),
+    ("contrived", (0, 1, 4, 9)),
 ])
 def test_compiled_dsl_reads_gamma_like_builtin(family, ns):
-    # The same points in the same order: only then does a DSL solve make
-    # the extension reads, and so the counts, of a built-in one.
+    # The same points in the same order as the tree-walking evaluator of
+    # the family's rendering: the built-in solves run the compiled term,
+    # and their extension reads, and so their counts, are its reads.
     rng = random.Random(33)
     for n in ns:
-        h_ref = builtin_h(family, n)
-        h_dsl = as_functional(parse(builtin_dsl(family, n)))
+        e = parse(builtin_dsl(family, n))
+        h = builtin_h(family, n)
         for _ in range(50):
             alpha = gen.gen_alpha(rng)
-            assert _value_and_reads(h_dsl, alpha) == \
-                _value_and_reads(h_ref, alpha), (family, n)
+            assert _value_and_reads(h, alpha) == \
+                _value_and_reads(lambda g: evaluate(e, g), alpha), (family, n)
 
 
 def test_as_functional_is_reentrant():
@@ -228,11 +231,11 @@ def test_as_functional_constant():
 
 
 def test_leastinc_dsl_on_walkthrough_sequences():
-    h_ref = builtin_h("leastinc", 3)
-    h_dsl = as_functional(parse(builtin_dsl("leastinc", 3)))
+    e = parse(builtin_dsl("leastinc", 3))
+    h = builtin_h("leastinc", 3)
     for prefix in ([1, 1, 1, 1], [1, 1, 1, 2], [1, 1, 2, 2], [1, 2, 2, 2]):
         gamma = InfSeq(lambda i, p=prefix: p[i] if i < len(p) else 1)
-        assert h_ref(gamma) == h_dsl(gamma)
+        assert h(gamma) == evaluate(e, gamma)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -320,49 +323,9 @@ def test_compile_rejects_a_non_node():
         as_functional("g(0)")
 
 
-def _reference(e, g, env={}):
-    """The value of ``e`` on ``g`` by walking the tree: the DSL's semantics
-    written once more, apart from the compiler, to test it against."""
-    def ev(x, env=env):
-        return _reference(x, g, env)
-    if isinstance(e, Nat):
-        return e.value
-    if isinstance(e, Var):
-        return env[e.name]
-    if isinstance(e, Gamma):
-        return g(ev(e.arg))
-    if isinstance(e, BinOp):
-        a, b = ev(e.left), ev(e.right)
-        return (a + b if e.op == "+" else max(a - b, 0) if e.op == "-"
-                else a * b if e.op == "*" else a ** b)
-    if isinstance(e, Fold):
-        acc = 1 if e.op == "prod" else 0
-        for i in range(ev(e.bound)):
-            v = ev(e.body, {**env, e.var: i})
-            acc = acc * v if e.op == "prod" else acc + v
-        return acc
-    if isinstance(e, Search):
-        top = ev(e.bound)
-        for i in range(top + 1) if e.op == "least" else range(top, -1, -1):
-            if ev(e.cond, {**env, e.var: i}):
-                return i
-        return ev(e.orelse)
-    if isinstance(e, If):
-        return ev(e.then) if ev(e.cond) else ev(e.orelse)
-    if isinstance(e, Cmp):
-        a, b = ev(e.left), ev(e.right)
-        return {"<": a < b, "<=": a <= b, "=": a == b, "!=": a != b}[e.op]
-    if isinstance(e, Not):
-        return not ev(e.cond)
-    left = ev(e.left)
-    if e.op == "and":
-        return left and ev(e.right)
-    return left or ev(e.right)
-
-
 def _agrees_with_reference(e, alpha):
     got = _value_and_reads(as_functional(e), alpha)
-    assert got == _value_and_reads(lambda g: _reference(e, g), alpha)
+    assert got == _value_and_reads(lambda g: evaluate(e, g), alpha)
     return got[0]
 
 
